@@ -15,14 +15,13 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import coexistence, coincidence, config, stability, twtt
-from .coexistence import car, max_distance, scan_csv, with_length, with_power
+from .coexistence import car, max_distance, scan_csv, with_power
 from .errors import ConfigError, DegenerateScenario, HollowlinkError, ZeroBackground
 from .event_sim import run_scenario, write_timetags_binary, write_timetags_csv
 from .twtt import run_session
@@ -88,16 +87,6 @@ def _add_source_args(p):
     p.add_argument("--config", help="config file path (overrides --preset)")
 
 
-def _grid_row(payload):
-    """One grid row (fixed length, all powers); top-level for pickling."""
-    cfg_values, length, powers = payload
-    scenario = config.build_scenario(
-        config.LoadedConfig(name="grid", values=cfg_values, provenance={})
-    )
-    s_l = with_length(scenario, length)
-    return [car(with_power(s_l, p)) for p in powers]
-
-
 def cmd_presets(args) -> int:
     if args.name:
         sys.stdout.write(config.preset_text(args.name))
@@ -126,17 +115,12 @@ def cmd_car_scan(args) -> int:
         if args.power
         else [cfg.values["power_fwd_mw"]]
     )
-    rows = []
-    if len(lengths) > 1 and len(powers) > 1 and args.jobs > 1:
-        payloads = [(dict(cfg.values), l, powers) for l in lengths]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for length, row in zip(lengths, pool.map(_grid_row, payloads)):
-                rows.extend((length, p, c) for p, c in zip(powers, row))
-    else:
-        for length in lengths:
-            s_l = with_length(scenario, length)
-            for power in powers:
-                rows.append((length, power, car(with_power(s_l, power))))
+    cars = coexistence.grid(scenario, lengths, powers)
+    rows = [
+        (length, power, cars[i, j])
+        for i, length in enumerate(lengths)
+        for j, power in enumerate(powers)
+    ]
     text = scan_csv(rows)
     _write_or_stdout(text, args.output)
     if args.gnuplot:
@@ -265,6 +249,8 @@ def cmd_twtt(args) -> int:
 
 def cmd_stability(args) -> int:
     if args.synth:
+        if args.level is None:
+            raise ConfigError("--synth needs --level")
         series = stability.synthesize_noise(
             args.synth, args.level, args.tau0, args.n, args.seed or 0
         )
@@ -299,7 +285,6 @@ def build_parser() -> _Parser:
     p.add_argument("--length", help="km value or MIN:MAX:N")
     p.add_argument("--output", help="CSV file (default stdout)")
     p.add_argument("--gnuplot", help="also emit a gnuplot script here")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for grids")
     p.set_defaults(func=cmd_car_scan)
 
     p = sub.add_parser("max-distance", help="longest span holding a CAR threshold")

@@ -1,9 +1,13 @@
 """Monte Carlo generation of detector timestamp streams.
 
 Produces the four single-photon-detector streams of a bidirectional
-two-way session: correlated pair emissions, channel thinning, jitter and
-dispersion smearing, SpRS/dark noise injection, site-B clock-error
-injection, and non-paralyzable dead-time filtering.
+two-way session. ``run_scenario`` composes the stage functions below:
+``generate_pairs`` yields correlated pair emissions in chunks,
+``transmit_and_detect`` thins, delays and smears each arm,
+``_clock_to_site_b`` stamps site B's detections with its clock error
+(after jitter, as a real detector's time tagger does),
+``inject_poisson_noise`` adds SpRS and dark counts, and
+``apply_dead_time`` filters each merged channel (non-paralyzable).
 
 All timestamps are 64-bit integer picoseconds. Randomness comes from
 numpy's counter-based Philox generator; each stage draws from its own
@@ -14,17 +18,16 @@ stream-id table is fixed in ``_STREAMS`` below.
 
 from __future__ import annotations
 
-import csv
 import struct
+import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .coexistence import CoexistenceScenario, noise_rates
+from .coexistence import FWHM_TO_SIGMA, CoexistenceScenario, noise_rates
 from .errors import UnsortedInput
 from .link_model import channel_transmittance, dispersion_broadening
-from .coexistence import FWHM_TO_SIGMA
 
 PS_PER_S = 10**12
 
@@ -170,20 +173,12 @@ def _poisson_chunks(rate_cps: float, duration_ps: int, rng: np.random.Generator)
         t = times[-1]
 
 
-def _poisson_times(rate_cps: float, duration_ps: int, rng) -> np.ndarray:
-    parts = list(_poisson_chunks(rate_cps, duration_ps, rng))
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(parts)
-
-
-def generate_pairs(run: SimRun, source: str = "ab") -> tuple[np.ndarray, np.ndarray]:
-    """Pair emission times for one source as two equal int64 arrays
-    (local arm, remote arm); the intrinsic biphoton correlation time is
-    treated as zero."""
-    rng = stream_rng(run.seed, "pairs_ab" if source == "ab" else "pairs_ba")
-    times = _poisson_times(run.scenario.source.pair_rate_cps, run.duration_ps, rng)
-    return times, times.copy()
+def generate_pairs(run: SimRun, source: str = "ab"):
+    """Pair emission times of one source, yielded as sorted int64 chunks
+    of at most ``_CHUNK`` pairs; both arms share each emission time (the
+    intrinsic biphoton correlation time is treated as zero)."""
+    rng = stream_rng(run.seed, f"pairs_{source}")
+    yield from _poisson_chunks(run.scenario.source.pair_rate_cps, run.duration_ps, rng)
 
 
 def transmit_and_detect(
@@ -195,22 +190,18 @@ def transmit_and_detect(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Bernoulli-thin emissions at the combined efficiency, shift by the
-    propagation delay and smear with Gaussian noise of
-    sqrt(jitter^2 + broadening^2); returns sorted int64 detections."""
+    propagation delay (rounded to whole ps) and smear with Gaussian noise
+    of sqrt(jitter^2 + broadening^2); returns sorted int64 detections."""
     if jitter_sigma_ps < 0 or extra_broadening_sigma_ps < 0:
         raise ValueError("sigmas must be >= 0")
     emissions = np.asarray(emissions_ps, dtype=np.int64)
-    if efficiency_chain >= 1.0:
-        survivors = emissions
-    else:
-        survivors = emissions[rng.random(emissions.size) < efficiency_chain]
+    out = emissions[rng.random(emissions.size) < efficiency_chain]
+    out += np.int64(round(delay_ps))
     sigma = float(np.hypot(jitter_sigma_ps, extra_broadening_sigma_ps))
     if sigma > 0:
-        shift = np.rint(delay_ps + sigma * rng.standard_normal(survivors.size))
-        out = survivors + shift.astype(np.int64)
+        out += np.rint(sigma * rng.standard_normal(out.size)).astype(np.int64)
         out.sort(kind="stable")
-        return out
-    return survivors + np.int64(round(delay_ps))
+    return out
 
 
 def inject_poisson_noise(
@@ -219,32 +210,18 @@ def inject_poisson_noise(
     """Homogeneous Poisson timestamps over [0, duration), int64 ps."""
     if rate_cps < 0:
         raise ValueError("rate_cps must be >= 0")
-    return _poisson_times(rate_cps, int(round(duration_s * PS_PER_S)), rng)
-
-
-def _dead_time_mask_python(tags: np.ndarray, dead_ps: int) -> np.ndarray:
-    keep = np.zeros(tags.size, dtype=np.bool_)
-    last = -(1 << 62)
-    for i in range(tags.size):
-        if tags[i] - last >= dead_ps:
-            keep[i] = True
-            last = tags[i]
-    return keep
-
-
-_dead_time_kernel = None
+    parts = list(_poisson_chunks(rate_cps, int(round(duration_s * PS_PER_S)), rng))
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
 def _dead_time_mask(tags: np.ndarray, dead_ps: int) -> np.ndarray:
-    global _dead_time_kernel
-    if _dead_time_kernel is None:
-        try:
-            from numba import njit
-
-            _dead_time_kernel = njit(cache=True)(_dead_time_mask_python)
-        except ImportError:  # pragma: no cover - numba is a declared dep
-            _dead_time_kernel = _dead_time_mask_python
-    return _dead_time_kernel(tags, dead_ps)
+    keep = np.zeros(tags.size, dtype=np.bool_)
+    last = -(1 << 62)
+    for i, t in enumerate(tags.tolist()):
+        if t - last >= dead_ps:
+            keep[i] = True
+            last = t
+    return keep
 
 
 def apply_dead_time(stream, dead_time_ns: float):
@@ -277,13 +254,6 @@ def _clock_to_site_b(
     return tags + np.rint(corr).astype(np.int64)
 
 
-def _jittered(tags, sigma_ps, rng):
-    if sigma_ps <= 0 or tags.size == 0:
-        return tags
-    shift = np.rint(sigma_ps * rng.standard_normal(tags.size)).astype(np.int64)
-    return tags + shift
-
-
 def _finalize(parts, duration_ps, dead_time_ns, channel_id) -> TimeTagStream:
     """Merge source streams (stable sort keeps the documented
     signal < sprs_fwd < sprs_bwd < dark order at equal times), clip to the
@@ -299,69 +269,53 @@ def run_scenario(run: SimRun) -> SimStreams:
     """Simulate the full bidirectional session and return the four
     detector streams. Deterministic given the run (seed included)."""
     s = run.scenario
-    duration_ps = run.duration_ps
+    det_loc, det_rem = s.det_local, s.det_remote
     sigma_disp = 0.0
     if not s.dcm_engaged:
         sigma_disp = (
             dispersion_broadening(s.link, s.source.fwhm_bandwidth_nm) / FWHM_TO_SIGMA
         )
-    t_link = channel_transmittance(s.link)
-    p_local = s.source.arm_eff_local * s.det_local.efficiency
-    p_remote = s.source.arm_eff_remote * t_link * s.det_remote.efficiency
-    sigma_remote = float(np.hypot(s.det_remote.jitter_sigma_ps, sigma_disp))
+    p_local = s.source.arm_eff_local * det_loc.efficiency
+    p_remote = s.source.arm_eff_remote * channel_transmittance(s.link) * det_rem.efficiency
     clock = run.clock_error
 
+    def noise(name, rate_cps):
+        return inject_poisson_noise(rate_cps, run.duration_s, stream_rng(run.seed, name))
+
     channels = []
-    for direction, delay_ps in (("ab", run.link_delay_ab_ps), ("ba", run.link_delay_ba_ps)):
-        rng_pairs = stream_rng(run.seed, f"pairs_{direction}")
+    # Site B records ch1 (remote arm of A->B) and ch2 (local arm of B->A).
+    for direction, loc_ch, rem_ch, delay_ps in (
+        ("ab", 0, 1, run.link_delay_ab_ps),
+        ("ba", 2, 3, run.link_delay_ba_ps),
+    ):
         rng_loc = stream_rng(run.seed, f"detect_local_{direction}")
         rng_rem = stream_rng(run.seed, f"detect_remote_{direction}")
-        # Site B records ch1 (remote of A->B) and ch2 (local of B->A).
         remote_at_b = direction == "ab"
-        rng_wpm = stream_rng(run.seed, "clock_wpm_ch1" if remote_at_b else "clock_wpm_ch2")
-        delay_int = round(delay_ps)
+        rng_wpm = stream_rng(run.seed, f"clock_wpm_ch{rem_ch if remote_at_b else loc_ch}")
 
         loc_parts, rem_parts = [], []
-        for chunk in _poisson_chunks(s.source.pair_rate_cps, duration_ps, rng_pairs):
-            loc = chunk[rng_loc.random(chunk.size) < p_local]
-            if not remote_at_b:  # local arm of EPS-B sits at site B
-                loc = _clock_to_site_b(loc, clock, rng_wpm)
-            loc_parts.append(_jittered(loc, s.det_local.jitter_sigma_ps, rng_loc))
-
-            rem = chunk[rng_rem.random(chunk.size) < p_remote] + np.int64(delay_int)
+        for chunk in generate_pairs(run, direction):
+            loc = transmit_and_detect(chunk, p_local, det_loc.jitter_sigma_ps, 0, 0, rng_loc)
+            rem = transmit_and_detect(
+                chunk, p_remote, det_rem.jitter_sigma_ps, sigma_disp, delay_ps, rng_rem
+            )
             if remote_at_b:
                 rem = _clock_to_site_b(rem, clock, rng_wpm)
-            rem_parts.append(_jittered(rem, sigma_remote, rng_rem))
+            else:
+                loc = _clock_to_site_b(loc, clock, rng_wpm)
+            loc_parts.append(loc)
+            rem_parts.append(rem)
 
-        ds = direction_scenario(s, direction)
-        n_f, n_b = noise_rates(ds)
-        suffix = "ch1" if direction == "ab" else "ch3"
-        noise_f = _poisson_times(n_f, duration_ps, stream_rng(run.seed, f"sprs_fwd_{suffix}"))
-        noise_b = _poisson_times(n_b, duration_ps, stream_rng(run.seed, f"sprs_bwd_{suffix}"))
+        n_f, n_b = noise_rates(direction_scenario(s, direction))
+        sprs = [noise(f"sprs_fwd_ch{rem_ch}", n_f), noise(f"sprs_bwd_ch{rem_ch}", n_b)]
         if remote_at_b:
-            noise_f = _clock_to_site_b(noise_f, clock, rng_wpm)
-            noise_b = _clock_to_site_b(noise_b, clock, rng_wpm)
+            sprs = [_clock_to_site_b(tags, clock, rng_wpm) for tags in sprs]
+        loc_parts.append(noise(f"dark_ch{loc_ch}", det_loc.dark_rate_cps))
+        rem_parts += sprs + [noise(f"dark_ch{rem_ch}", det_rem.dark_rate_cps)]
+        channels.append(_finalize(loc_parts, run.duration_ps, det_loc.dead_time_ns, loc_ch))
+        channels.append(_finalize(rem_parts, run.duration_ps, det_rem.dead_time_ns, rem_ch))
 
-        loc_ch = "ch0" if direction == "ab" else "ch2"
-        rem_ch = "ch1" if direction == "ab" else "ch3"
-        dark_loc = _poisson_times(
-            s.det_local.dark_rate_cps, duration_ps, stream_rng(run.seed, f"dark_{loc_ch}")
-        )
-        dark_rem = _poisson_times(
-            s.det_remote.dark_rate_cps, duration_ps, stream_rng(run.seed, f"dark_{rem_ch}")
-        )
-
-        local_parts = loc_parts + [dark_loc]
-        remote_parts = rem_parts + [noise_f, noise_b, dark_rem]
-        channels.append(
-            _finalize(local_parts, duration_ps, s.det_local.dead_time_ns, int(loc_ch[2:]))
-        )
-        channels.append(
-            _finalize(remote_parts, duration_ps, s.det_remote.dead_time_ns, int(rem_ch[2:]))
-        )
-
-    ch0, ch1, ch2, ch3 = channels
-    return SimStreams(local_ab=ch0, remote_ab=ch1, local_ba=ch2, remote_ba=ch3)
+    return SimStreams(*channels)
 
 
 def write_timetags_binary(path, stream: TimeTagStream) -> None:
@@ -389,27 +343,24 @@ def read_timetags_binary(path) -> TimeTagStream:
 def write_timetags_csv(path, streams) -> None:
     """CSV alternative: header ``channel,timestamp_ps``, one row per tag."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["channel", "timestamp_ps"])
+        fh.write("channel,timestamp_ps\n")
         for stream in streams:
-            for tag in stream.tags_ps:
-                writer.writerow([stream.channel_id, int(tag)])
+            cid = stream.channel_id
+            fh.write("".join(f"{cid},{t}\n" for t in stream.tags_ps.tolist()))
 
 
 def read_timetags_csv(path) -> list[TimeTagStream]:
-    by_channel: dict[int, list[int]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["channel", "timestamp_ps"]:
+    with open(path) as fh:
+        header = fh.readline().rstrip("\r\n")
+        if header != "channel,timestamp_ps":
             raise ValueError(f"bad timetag CSV header {header!r}")
-        for row in reader:
-            by_channel.setdefault(int(row[0]), []).append(int(row[1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a header-only file holds no rows
+            rows = np.loadtxt(fh, dtype=np.int64, delimiter=",", ndmin=2)
     streams = []
-    for channel_id in sorted(by_channel):
-        tags = np.array(by_channel[channel_id], dtype=np.int64)
-        duration = int(tags[-1]) if tags.size else 0
+    for channel_id in np.unique(rows[:, 0]).tolist():
+        tags = rows[rows[:, 0] == channel_id, 1]
         streams.append(
-            TimeTagStream(channel_id=channel_id, tags_ps=tags, duration_ps=duration)
+            TimeTagStream(channel_id=channel_id, tags_ps=tags, duration_ps=int(tags[-1]))
         )
     return streams

@@ -51,14 +51,6 @@ def report(criterion, detail):
     print(f"\nACCEPTANCE {criterion}: PASS - {detail}")
 
 
-@pytest.fixture(scope="module", autouse=True)
-def warm_jit():
-    """Compile the dead-time kernel once so criterion timings measure the
-    algorithms, not the one-off JIT cost."""
-    run = SimRun(desk_scenario(pair_rate_cps=1e4), duration_s=0.2, seed=0)
-    run_scenario(run)
-
-
 def test_criterion_1_sprs_closed_forms_vs_oracle():
     """Forward/backward SpRS closed forms vs trapezoid integration to
     rel < 1e-9 over a 10x10 (L, alpha) grid, in under a second."""

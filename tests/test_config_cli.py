@@ -178,14 +178,6 @@ class TestCarScanCommand:
                          "--length", "100:500:9", "--output", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_jobs_parallel_matches_serial(self, desk_config, tmp_path):
-        serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-        args = ["car-scan", "--config", str(desk_config),
-                "--power", "0.5:2.5:4", "--length", "5:25:4"]
-        assert main(args + ["--output", str(serial)]) == 0
-        assert main(args + ["--output", str(parallel), "--jobs", "2"]) == 0
-        assert serial.read_bytes() == parallel.read_bytes()
-
     def test_gnuplot_emitted(self, tmp_path):
         out = tmp_path / "scan.csv"
         gp = tmp_path / "scan.gp"
@@ -323,6 +315,10 @@ class TestStabilityCommand:
 
     def test_requires_input_or_synth(self):
         assert main(["stability"]) == 1
+
+    def test_synth_without_level_exits_1(self, capsys):
+        assert main(["stability", "--synth", "white-pm"]) == 1
+        assert "--level" in capsys.readouterr().err
 
     def test_too_short_input_exits_2(self, tmp_path):
         csv_path = tmp_path / "tiny.csv"

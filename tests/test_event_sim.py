@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ from hollowlink.coexistence import (
     PairSource,
     singles_rates,
 )
+from hollowlink import event_sim
 from hollowlink.errors import UnsortedInput
 from hollowlink.event_sim import (
     PS_PER_S,
@@ -45,32 +47,41 @@ def lossless_scenario(pair_rate=2e4):
     )
 
 
+def all_pairs(run, source="ab"):
+    chunks = list(generate_pairs(run, source))
+    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+
+
 class TestGeneratePairs:
     def test_zero_rate_empty(self):
         run = SimRun(lossless_scenario(0.0), duration_s=1.0, seed=3)
-        local, remote = generate_pairs(run)
-        assert local.size == 0 and remote.size == 0
+        assert list(generate_pairs(run)) == []
 
     def test_rate_within_poisson_3sigma(self):
         run = SimRun(lossless_scenario(5e4), duration_s=10.0, seed=3)
-        local, remote = generate_pairs(run)
         lam = 5e4 * 10.0
-        assert abs(local.size - lam) <= 3 * math.sqrt(lam)
-        assert np.array_equal(local, remote)
+        assert abs(all_pairs(run).size - lam) <= 3 * math.sqrt(lam)
 
     def test_deterministic_per_seed(self):
         run = SimRun(lossless_scenario(5e4), duration_s=2.0, seed=99)
-        a1, _ = generate_pairs(run)
-        a2, _ = generate_pairs(run)
-        assert np.array_equal(a1, a2)
-        b1, _ = generate_pairs(replace(run, seed=100))
-        assert not np.array_equal(a1, b1)
+        a1 = all_pairs(run)
+        assert np.array_equal(a1, all_pairs(run))
+        assert not np.array_equal(a1, all_pairs(replace(run, seed=100)))
+        assert not np.array_equal(a1, all_pairs(run, "ba"))
 
     def test_sorted_within_duration(self):
         run = SimRun(lossless_scenario(1e5), duration_s=1.0, seed=5)
-        local, _ = generate_pairs(run)
+        local = all_pairs(run)
         assert np.all(np.diff(local) >= 0)
         assert local[0] >= 0 and local[-1] <= run.duration_ps
+
+    def test_chunks_bounded_and_contiguous(self, monkeypatch):
+        monkeypatch.setattr(event_sim, "_CHUNK", 1000)
+        run = SimRun(lossless_scenario(1e5), duration_s=0.1, seed=5)
+        chunks = list(generate_pairs(run))
+        assert len(chunks) > 1
+        assert all(c.dtype == np.int64 and 0 < c.size <= 1000 for c in chunks)
+        assert all(a[-1] <= b[0] for a, b in zip(chunks, chunks[1:]))
 
 
 class TestTransmitAndDetect:
@@ -205,6 +216,28 @@ class TestRunScenario:
             if len(st) > 1:
                 assert np.min(np.diff(st.tags_ps)) >= 200_000
 
+    def test_lossless_local_arm_is_the_pair_stream(self):
+        run = SimRun(lossless_scenario(5e4), duration_s=1.0, seed=43)
+        assert np.array_equal(run_scenario(run).local_ab.tags_ps, all_pairs(run, "ab"))
+
+    def test_golden_streams_digest(self):
+        # Any change to how the simulator samples must update this digest
+        # on purpose and say so.
+        run = SimRun(
+            desk_scenario(),
+            duration_s=0.2,
+            seed=2026,
+            clock_error=ClockError(offset_ps=1234.0, drift_ps_per_s=0.5),
+            link_delay_ab_ps=2e6,
+            link_delay_ba_ps=2e6,
+        )
+        h = hashlib.sha256()
+        for stream in run_scenario(run):
+            h.update(stream.tags_ps.astype("<i8").tobytes())
+        assert h.hexdigest() == (
+            "21af64341d3a85b7207624fabbee090103e3860010938d218aa38343f7c09d6a"
+        )
+
     def test_drift_recovered_in_tag_scaling(self):
         run = SimRun(
             lossless_scenario(5e4),
@@ -246,6 +279,31 @@ class TestTimetagFiles:
         assert len(back) == 2
         assert np.array_equal(back[0].tags_ps, [1, 2, 3])
         assert np.array_equal(back[1].tags_ps, [7, 9])
+
+    def test_csv_bytes_and_interleaved_channels(self, tmp_path):
+        streams = [
+            TimeTagStream(2, np.array([0, 5, 2**40], dtype=np.int64), 2**40),
+            TimeTagStream(0, np.array([3], dtype=np.int64), 10),
+        ]
+        path = tmp_path / "tags.csv"
+        write_timetags_csv(path, streams)
+        assert path.read_bytes() == b"channel,timestamp_ps\n2,0\n2,5\n2,1099511627776\n0,3\n"
+        path.write_text("channel,timestamp_ps\n1,4\n0,3\n1,9\n")
+        back = read_timetags_csv(path)
+        assert [st.channel_id for st in back] == [0, 1]
+        assert np.array_equal(back[1].tags_ps, [4, 9]) and back[1].duration_ps == 9
+
+    def test_csv_header_only_reads_empty(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_timetags_csv(path, [TimeTagStream(0, np.empty(0, dtype=np.int64), 10)])
+        assert path.read_text() == "channel,timestamp_ps\n"
+        assert read_timetags_csv(path) == []
+
+    def test_csv_bad_header_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("chan,ts\n0,1\n")
+        with pytest.raises(ValueError):
+            read_timetags_csv(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.qtags"
