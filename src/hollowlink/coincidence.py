@@ -3,13 +3,21 @@ estimation, and one-way delay extraction.
 
 Correlation uses a sorted-window sweep (binary-searched windows per tag,
 vectorized) that returns exactly the same counts as brute-force pairwise
-differencing. Delay extraction is two-stage: a wide coarse histogram
-locates the peak, a fine histogram around it is fitted with a
-Gaussian-plus-flat model. Fine histograms use an odd number of odd-width
-bins so the integer-picosecond bin layout is exactly symmetric around
-the search center; together with fitting in peak-relative coordinates
-this keeps extract_delay(a, b) and -extract_delay(b, a) equal to well
-below 1e-6 ps.
+differencing. It works through b in blocks of ``_B_BLOCK`` tags and
+builds the differences of each block in runs of whole b tags holding at
+most ``_MAX_DIFFS`` differences (a single b tag with more matches is a
+run of its own), so the memory it needs beyond its inputs is set by
+those two constants (or by the matches of one such b tag), not by the
+search range.
+
+Delay extraction is two-stage: a wide coarse histogram locates the
+peak, a fine histogram around it is fitted with a Gaussian-plus-flat
+model. Fine histograms use an odd number of odd-width bins so the
+integer-picosecond bin layout is exactly symmetric around the search
+center, and fits run in peak-relative coordinates. Even so, the fitted
+centroids of extract_delay(a, b) and -extract_delay(b, a) agree only to
+about 1e-4 ps (9.4e-5 ps at worst over 40 seeds of a 2 s jittered run);
+the antisymmetry test pins one seed at 1e-6 ps.
 """
 
 from __future__ import annotations
@@ -23,6 +31,10 @@ from scipy.optimize import curve_fit
 from .errors import NoConvergence, NoPeak, UnsortedInput, ZeroBackground, ZeroBinWidth
 
 _B_BLOCK = 1_000_000  # tags of b processed per correlation block
+# Differences held at once within a block. On a 17 M-difference wide
+# search (2-vCPU VM), runs of 2^19-2^21 took 0.38 s and 40-96 MB; 2^18
+# took 0.53 s, and 2^23 or more 0.6 s and 340+ MB.
+_MAX_DIFFS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -77,32 +89,55 @@ def _tags_of(stream) -> np.ndarray:
     return stream.tags_ps if hasattr(stream, "tags_ps") else np.asarray(stream)
 
 
-def _window_diffs(a: np.ndarray, b_block: np.ndarray, d_lo: float, d_hi: float):
-    """All differences t_b - t_a in [d_lo, d_hi] for one block of b."""
+def _match_ranges(a: np.ndarray, b_block: np.ndarray, d_lo: float, d_hi: float):
+    """Per b tag: index of the first a tag with t_b - t_a in [d_lo, d_hi],
+    and how many a tags match."""
     lo_idx = np.searchsorted(a, b_block - d_hi, side="left")
     hi_idx = np.searchsorted(a, b_block - d_lo, side="right")
-    counts = hi_idx - lo_idx
+    return lo_idx, hi_idx - lo_idx
+
+
+def _diffs(a: np.ndarray, b_block: np.ndarray, lo_idx: np.ndarray, counts: np.ndarray):
+    """The differences t_b - a[lo_idx + k] for k < counts, b tag by b tag."""
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    starts = np.repeat(lo_idx, counts)
-    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    return np.repeat(b_block, counts) - a[starts + offsets]
+    a_idx = np.repeat(lo_idx - (np.cumsum(counts) - counts), counts)
+    a_idx += np.arange(total)
+    diffs = np.repeat(b_block, counts)
+    diffs -= a[a_idx]
+    return diffs
+
+
+def _window_diffs(a: np.ndarray, b_block: np.ndarray, d_lo: float, d_hi: float):
+    """All differences t_b - t_a in [d_lo, d_hi] for one block of b."""
+    return _diffs(a, b_block, *_match_ranges(a, b_block, d_lo, d_hi))
 
 
 def _binned_counts(a, b, lo_edge, n_bins, width, extra_accept=None):
     """Histogram window diffs into n_bins of ``width`` starting at lo_edge;
-    ``extra_accept`` optionally narrows acceptance to [lo, hi] exactly."""
+    ``extra_accept`` optionally narrows acceptance to [lo, hi] exactly.
+
+    Each block of b is cut into runs of whole b tags with at most
+    ``_MAX_DIFFS`` differences, so memory is bounded by the match count
+    of a run, not by the search range."""
     counts = np.zeros(n_bins, dtype=np.int64)
     d_lo, d_hi = (extra_accept if extra_accept is not None
                   else (lo_edge, lo_edge + n_bins * width))
     for start in range(0, b.size, _B_BLOCK):
-        diffs = _window_diffs(a, b[start : start + _B_BLOCK], d_lo, d_hi)
-        if diffs.size == 0:
-            continue
-        idx = np.floor((diffs - lo_edge) / width).astype(np.int64)
-        np.clip(idx, 0, n_bins - 1, out=idx)
-        counts += np.bincount(idx, minlength=n_bins)
+        block = b[start : start + _B_BLOCK]
+        lo_idx, n_match = _match_ranges(a, block, d_lo, d_hi)
+        ends = np.cumsum(n_match)
+        i, done = 0, 0
+        while done < ends[-1]:
+            j = max(int(np.searchsorted(ends, done + _MAX_DIFFS, side="right")), i + 1)
+            diffs = _diffs(a, block[i:j], lo_idx[i:j], n_match[i:j])
+            i, done = j, int(ends[j - 1])
+            if diffs.size == 0:
+                continue
+            idx = np.floor((diffs - lo_edge) / width).astype(np.int64)
+            np.clip(idx, 0, n_bins - 1, out=idx)
+            counts += np.bincount(idx, minlength=n_bins)
     return counts
 
 
@@ -116,7 +151,9 @@ def cross_correlate(
     """Histogram of differences t_b - t_a with |diff - center| <= range/2.
 
     Counts equal brute-force pairwise differencing exactly; runtime is
-    O((n_a + n_b) log + matches).
+    O((n_a + n_b) log + matches). Memory beyond the inputs is bounded by
+    ``_B_BLOCK`` b tags and ``_MAX_DIFFS`` differences at a time (or the
+    matches of one b tag, if more), however wide ``range_ps`` is.
     """
     if bin_width_ps <= 0:
         raise ZeroBinWidth("bin_width_ps must be > 0")

@@ -55,7 +55,8 @@ _STREAMS = {
     "clock_wpm_ch2": 15,
 }
 
-TIMETAG_MAGIC = b"QTAGS001"
+TIMETAG_MAGIC = b"QTAGS002"
+_TIMETAG_MAGIC_V1 = b"QTAGS001"  # no duration field; still readable
 
 
 @dataclass(frozen=True)
@@ -215,19 +216,31 @@ def inject_poisson_noise(
 
 
 def _dead_time_mask(tags: np.ndarray, dead_ps: int) -> np.ndarray:
-    keep = np.zeros(tags.size, dtype=np.bool_)
-    last = -(1 << 62)
-    for i, t in enumerate(tags.tolist()):
-        if t - last >= dead_ps:
-            keep[i] = True
-            last = t
+    keep = np.empty(tags.size, dtype=np.bool_)
+    keep[0] = True
+    np.greater_equal(np.diff(tags), dead_ps, out=keep[1:])
+    heads = np.flatnonzero(keep)
+    ends = np.append(heads[1:], tags.size)
+    multi = ends - heads > 1
+    cur, end = heads[multi], ends[multi]
+    while cur.size:
+        cur = np.searchsorted(tags, tags[cur] + dead_ps, side="left")
+        live = cur < end
+        cur, end = cur[live], end[live]
+        keep[cur] = True
     return keep
 
 
 def apply_dead_time(stream, dead_time_ns: float):
     """Non-paralyzable dead-time filter: a tag is kept iff it falls at
     least the dead time after the last kept tag. Accepts a TimeTagStream
-    or a sorted int64 array and returns the same kind."""
+    or a sorted int64 array and returns the same kind.
+
+    A tag at least the dead time after its predecessor is always kept and
+    heads a cluster that runs up to the next such tag. Within all clusters
+    at once, each pass jumps from the last kept tag to the first tag a
+    dead time later (a binary search) while that lies inside its cluster,
+    so the passes number the most tags kept in one cluster."""
     if isinstance(stream, TimeTagStream):
         kept = apply_dead_time(stream.tags_ps, dead_time_ns)
         return replace(stream, tags_ps=kept)
@@ -320,23 +333,26 @@ def run_scenario(run: SimRun) -> SimStreams:
 
 def write_timetags_binary(path, stream: TimeTagStream) -> None:
     """Binary timetag file: 8-byte magic, little-endian uint16 channel id,
-    then little-endian int64 picosecond values."""
+    little-endian int64 duration in ps, then little-endian int64
+    picosecond values."""
     with open(path, "wb") as fh:
         fh.write(TIMETAG_MAGIC)
-        fh.write(struct.pack("<H", stream.channel_id))
+        fh.write(struct.pack("<Hq", stream.channel_id, stream.duration_ps))
         fh.write(stream.tags_ps.astype("<i8").tobytes())
 
 
 def read_timetags_binary(path) -> TimeTagStream:
-    """Read a binary timetag file. The format carries no duration, so the
-    stream's duration is reconstructed as its last tag."""
+    """Read a binary timetag file. Files of the older ``QTAGS001`` format
+    carry no duration, so theirs is reconstructed as the last tag."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
-        if magic != TIMETAG_MAGIC:
+        if magic not in (TIMETAG_MAGIC, _TIMETAG_MAGIC_V1):
             raise ValueError(f"bad timetag magic {magic!r}")
         (channel_id,) = struct.unpack("<H", fh.read(2))
+        duration = struct.unpack("<q", fh.read(8))[0] if magic == TIMETAG_MAGIC else None
         tags = np.frombuffer(fh.read(), dtype="<i8").astype(np.int64)
-    duration = int(tags[-1]) if tags.size else 0
+    if duration is None:
+        duration = int(tags[-1]) if tags.size else 0
     return TimeTagStream(channel_id=channel_id, tags_ps=tags, duration_ps=duration)
 
 
@@ -350,6 +366,10 @@ def write_timetags_csv(path, streams) -> None:
 
 
 def read_timetags_csv(path) -> list[TimeTagStream]:
+    """Read a timetag CSV, one stream per channel in ascending channel
+    order. The CSV schema has no place for a duration, so each stream's
+    duration is its last tag and ``rate_cps`` can differ from the run's;
+    the binary format keeps the duration."""
     with open(path) as fh:
         header = fh.readline().rstrip("\r\n")
         if header != "channel,timestamp_ps":

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from hollowlink import coincidence
 from hollowlink.coexistence import CoexistenceScenario, PairSource
 from hollowlink.coincidence import (
     CoincidenceHistogram,
@@ -30,6 +32,17 @@ def brute_force_counts(a, b, bin_width, range_ps, center):
     idx = np.floor((accepted - lo) / bin_width).astype(np.int64)
     np.clip(idx, 0, n_bins - 1, out=idx)
     return np.bincount(idx, minlength=n_bins)
+
+
+def brute_force_case(case):
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((555, case))))
+    n_a, n_b = rng.integers(50, 1000, 2)
+    a = np.sort(rng.integers(0, 10**7, n_a)).astype(np.int64)
+    b = np.sort(rng.integers(0, 10**7, n_b)).astype(np.int64)
+    w = int(rng.integers(10, 5000))
+    r = int(rng.integers(5, 200)) * w
+    c = int(rng.integers(-10**6, 10**6))
+    return a, b, w, r, c
 
 
 def jitter_scenario(pair_rate=2e4, jitter_ps=150.0, dark=200.0):
@@ -63,13 +76,7 @@ class TestCrossCorrelate:
 
     @pytest.mark.parametrize("case", range(20))
     def test_matches_brute_force(self, case):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((555, case))))
-        n_a, n_b = rng.integers(50, 1000, 2)
-        a = np.sort(rng.integers(0, 10**7, n_a)).astype(np.int64)
-        b = np.sort(rng.integers(0, 10**7, n_b)).astype(np.int64)
-        w = int(rng.integers(10, 5000))
-        r = int(rng.integers(5, 200)) * w
-        c = int(rng.integers(-10**6, 10**6))
+        a, b, w, r, c = brute_force_case(case)
         h = cross_correlate(a, b, w, r, c)
         assert np.array_equal(h.counts, brute_force_counts(a, b, w, r, c))
 
@@ -86,6 +93,61 @@ class TestCrossCorrelate:
             cross_correlate(good, good, 0, 100)
         with pytest.raises(UnsortedInput):
             cross_correlate(np.array([3, 1], dtype=np.int64), good, 10, 100)
+
+
+class TestBoundedBlocks:
+    """The correlation cuts each block of b into runs of at most
+    ``_MAX_DIFFS`` differences; counts must not depend on the cut."""
+
+    @pytest.mark.parametrize("cap", [1, 7, 1000])
+    @pytest.mark.parametrize("case", range(4))
+    def test_cross_correlate_matches_brute_force(self, monkeypatch, cap, case):
+        monkeypatch.setattr(coincidence, "_MAX_DIFFS", cap)
+        a, b, w, r, c = brute_force_case(case)
+        h = cross_correlate(a, b, w, r, c)
+        assert np.array_equal(h.counts, brute_force_counts(a, b, w, r, c))
+
+    @pytest.mark.parametrize("cap", [1, 7, 1000])
+    def test_b_tag_with_more_matches_than_the_cap(self, monkeypatch, cap):
+        monkeypatch.setattr(coincidence, "_MAX_DIFFS", cap)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(556)))
+        crowd = 5_000_000 + rng.integers(-20_000, 20_000, 1500)
+        a = np.sort(np.concatenate([rng.integers(0, 10**7, 300), crowd])).astype(np.int64)
+        b = np.sort(np.concatenate([rng.integers(0, 10**7, 200), [5_000_000]])).astype(np.int64)
+        h = cross_correlate(a, b, 100, 60_000, 0)
+        assert np.array_equal(h.counts, brute_force_counts(a, b, 100, 60_000, 0))
+        assert h.counts.sum() > 1500
+
+    @pytest.mark.parametrize("cap", [1, 7, 1000])
+    def test_extract_delay_and_car_unchanged(self, monkeypatch, cap):
+        run = SimRun(jitter_scenario(), duration_s=0.5, seed=72, link_delay_ab_ps=300_000.0)
+        streams = run_scenario(run)
+        cfg = DelayExtractionConfig(search_range_ps=1e6, expected_sigma_ps=220.0)
+        args = (streams.local_ab, streams.remote_ab)
+        delay = extract_delay(*args, cfg)
+        car_value, _, hist, _ = empirical_car(*args, 1000.0, cfg)
+        monkeypatch.setattr(coincidence, "_MAX_DIFFS", cap)
+        assert extract_delay(*args, cfg) == delay
+        car_capped, _, hist_capped, _ = empirical_car(*args, 1000.0, cfg)
+        assert np.array_equal(hist_capped.counts, hist.counts) and car_capped == car_value
+
+    def test_wide_search_memory_bounded(self):
+        # 2 s of a at 170k/s and b at 32k/s (17k/s of it correlated):
+        # the default +-1 ms coarse search meets ~17 M differences.
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(557)))
+        delay = 400_000_000
+        a = inject_poisson_noise(1.7e5, 2.0, rng)
+        echo = a[rng.random(a.size) < 0.1] + delay
+        echo += np.rint(200.0 * rng.standard_normal(echo.size)).astype(np.int64)
+        b = np.sort(np.concatenate([echo, inject_poisson_noise(1.5e4, 2.0, rng)]))
+        tracemalloc.start()
+        try:
+            found, _ = extract_delay(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert found == pytest.approx(delay, abs=20.0)
+        assert peak < 150 * 2**20
 
 
 class TestFitPeak:

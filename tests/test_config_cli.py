@@ -218,7 +218,10 @@ class TestSimulateCommand:
         for name in ("summary.json", "ch0.qtags", "ch1.qtags", "ch2.qtags", "ch3.qtags"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
         raw = (dirs[0] / "ch0.qtags").read_bytes()
-        assert raw[:8] == b"QTAGS001"
+        assert raw[:8] == b"QTAGS002"
+        duration_s = json.loads((dirs[0] / "summary.json").read_text())["duration_s"]
+        assert int.from_bytes(raw[10:18], "little") == round(duration_s * 1e12)
+        assert (len(raw) - 18) % 8 == 0
 
     def test_summary_analytic_close_to_empirical(self, desk_config, tmp_path):
         out = tmp_path / "run"

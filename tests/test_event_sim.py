@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from hollowlink.coexistence import (
@@ -128,7 +130,49 @@ class TestInjectPoissonNoise:
         assert result.pvalue > 0.01
 
 
+def _dead_time_mask_loop(tags, dead_ps):
+    """The non-paralyzable filter one tag at a time: the oracle for the
+    vectorised ``_dead_time_mask``."""
+    keep = np.zeros(tags.size, dtype=np.bool_)
+    last = -(1 << 62)
+    for i, t in enumerate(tags.tolist()):
+        if t - last >= dead_ps:
+            keep[i] = True
+            last = t
+    return keep
+
+
+def assert_dead_time_matches_loop(tags, dead_ps):
+    expected = _dead_time_mask_loop(tags, dead_ps)
+    if tags.size:
+        assert np.array_equal(event_sim._dead_time_mask(tags, dead_ps), expected)
+    assert np.array_equal(apply_dead_time(tags, dead_ps / 1000.0), tags[expected])
+
+
+# gaps mix ties, gaps far below the dead time (long clusters) and gaps around it
+_GAPS = st.lists(
+    st.one_of(st.just(0), st.integers(0, 40), st.integers(0, 4000)), max_size=300
+)
+
+
 class TestApplyDeadTime:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(start=st.integers(-10**6, 10**12), gaps=_GAPS, dead_ps=st.integers(1, 3000))
+    @example(start=0, gaps=[], dead_ps=1000)  # one tag, and no tags
+    @example(start=7, gaps=[0], dead_ps=1000)
+    @example(start=0, gaps=[0, 0] + [1] * 200 + [0], dead_ps=1000)  # all within one dead time
+    @example(start=0, gaps=[1000] * 50, dead_ps=1000)
+    @example(start=0, gaps=[999, 1, 999, 1, 0, 1000], dead_ps=1000)
+    def test_matches_sequential_loop(self, start, gaps, dead_ps):
+        tags = start + np.cumsum(np.asarray(gaps, dtype=np.int64))
+        assert_dead_time_matches_loop(np.concatenate([[start], tags]).astype(np.int64), dead_ps)
+        assert_dead_time_matches_loop(tags.astype(np.int64), dead_ps)
+
+    @pytest.mark.parametrize("rate, dead_ns", [(1.7e5, 1000.0), (2e6, 1000.0), (1.8e6, 50.0)])
+    def test_matches_sequential_loop_on_dense_poisson(self, rng, rate, dead_ns):
+        tags = inject_poisson_noise(rate, 0.1, rng) // 100 * 100  # 100 ps grid: ties
+        assert_dead_time_matches_loop(tags, int(round(dead_ns * 1000)))
+
     def test_zero_dead_time_identity(self):
         tags = np.array([0, 10, 20, 30], dtype=np.int64)
         assert np.array_equal(apply_dead_time(tags, 0.0), tags)
@@ -259,12 +303,33 @@ class TestTimetagFiles:
         path = tmp_path / "ch3.qtags"
         write_timetags_binary(path, stream)
         raw = path.read_bytes()
-        assert raw[:8] == b"QTAGS001"
+        assert raw[:8] == b"QTAGS002"
         assert raw[8:10] == (3).to_bytes(2, "little")
-        assert len(raw) == 10 + 3 * 8
+        assert raw[10:18] == (4_000_000).to_bytes(8, "little", signed=True)
+        assert len(raw) == 18 + 3 * 8
         back = read_timetags_binary(path)
         assert back.channel_id == 3
         assert np.array_equal(back.tags_ps, stream.tags_ps)
+
+    def test_binary_keeps_duration_and_rate(self, tmp_path):
+        stream = TimeTagStream(1, np.array([5, 10, 2_999_978], dtype=np.int64), 3_000_000)
+        path = tmp_path / "ch1.qtags"
+        write_timetags_binary(path, stream)
+        back = read_timetags_binary(path)
+        assert back.duration_ps == 3_000_000
+        assert back.rate_cps == stream.rate_cps
+        empty = TimeTagStream(0, np.empty(0, dtype=np.int64), 10**12)
+        write_timetags_binary(path, empty)
+        assert read_timetags_binary(path).duration_ps == 10**12
+
+    def test_binary_v1_still_reads(self, tmp_path):
+        path = tmp_path / "old.qtags"
+        tags = np.array([5, 10, 2_999_978], dtype="<i8")
+        path.write_bytes(b"QTAGS001" + (2).to_bytes(2, "little") + tags.tobytes())
+        back = read_timetags_binary(path)
+        assert back.channel_id == 2
+        assert np.array_equal(back.tags_ps, tags)
+        assert back.duration_ps == 2_999_978
 
     def test_csv_roundtrip(self, tmp_path):
         streams = [
