@@ -189,8 +189,10 @@ def with_length(s: CoexistenceScenario, length_km: float) -> CoexistenceScenario
 def with_power(s: CoexistenceScenario, power_mw: float) -> CoexistenceScenario:
     """Scenario with the forward carrier power set to ``power_mw`` and the
     backward power scaled to preserve the base backward/forward ratio
-    (a forward-only base stays forward-only)."""
+    (a forward-only base stays forward-only; its own power returns it)."""
     base = s.carrier
+    if power_mw == base.power_fwd_mw:
+        return s
     ratio = base.power_bwd_mw / base.power_fwd_mw if base.power_fwd_mw > 0 else 0.0
     carrier = replace(base, power_fwd_mw=power_mw, power_bwd_mw=power_mw * ratio)
     return replace(s, carrier=carrier)
@@ -203,7 +205,7 @@ def scan_power(
     if not (0 <= p_min_mw < p_max_mw) or n_points < 2:
         raise InvalidRange("need 0 <= p_min < p_max and n_points >= 2")
     powers = np.linspace(p_min_mw, p_max_mw, n_points)
-    return [(float(p), car(with_power(s, float(p)))) for p in powers]
+    return list(zip(powers.tolist(), grid(s, [s.link.length_km], powers)[0].tolist()))
 
 
 def scan_length(
@@ -213,7 +215,8 @@ def scan_length(
     if not (0 <= l_min_km < l_max_km) or n_points < 2:
         raise InvalidRange("need 0 <= l_min < l_max and n_points >= 2")
     lengths = np.linspace(l_min_km, l_max_km, n_points)
-    return [(float(l), car(with_length(s, float(l)))) for l in lengths]
+    column = grid(s, lengths, [s.carrier.power_fwd_mw])[:, 0]
+    return list(zip(lengths.tolist(), column.tolist()))
 
 
 def grid(

@@ -44,19 +44,11 @@ class CoincidenceHistogram:
     bin_width_ps: float
     center_offset_ps: float
     counts: np.ndarray
-    range_ps: float
-    n_a: int
-    n_b: int
-    duration_ps: int
 
     def __post_init__(self):
         object.__setattr__(
             self, "counts", np.ascontiguousarray(self.counts, dtype=np.int64)
         )
-
-    @property
-    def lo_edge_ps(self) -> float:
-        return self.center_offset_ps - 0.5 * self.counts.size * self.bin_width_ps
 
     def bin_centers(self) -> np.ndarray:
         # center-relative first: exact for integer-ps layouts
@@ -114,19 +106,17 @@ def _window_diffs(a: np.ndarray, b_block: np.ndarray, d_lo: float, d_hi: float):
     return _diffs(a, b_block, *_match_ranges(a, b_block, d_lo, d_hi))
 
 
-def _binned_counts(a, b, lo_edge, n_bins, width, extra_accept=None):
-    """Histogram window diffs into n_bins of ``width`` starting at lo_edge;
-    ``extra_accept`` optionally narrows acceptance to [lo, hi] exactly.
+def _binned_counts(a, b, lo_edge, n_bins, width, hi):
+    """Histogram the differences in [lo_edge, hi] into n_bins of ``width``
+    starting at lo_edge (out-of-range bin indices are clipped).
 
     Each block of b is cut into runs of whole b tags with at most
     ``_MAX_DIFFS`` differences, so memory is bounded by the match count
     of a run, not by the search range."""
     counts = np.zeros(n_bins, dtype=np.int64)
-    d_lo, d_hi = (extra_accept if extra_accept is not None
-                  else (lo_edge, lo_edge + n_bins * width))
     for start in range(0, b.size, _B_BLOCK):
         block = b[start : start + _B_BLOCK]
-        lo_idx, n_match = _match_ranges(a, block, d_lo, d_hi)
+        lo_idx, n_match = _match_ranges(a, block, lo_edge, hi)
         ends = np.cumsum(n_match)
         i, done = 0, 0
         while done < ends[-1]:
@@ -141,6 +131,17 @@ def _binned_counts(a, b, lo_edge, n_bins, width, extra_accept=None):
     return counts
 
 
+def _histogram(a, b, width, range_ps, center) -> CoincidenceHistogram:
+    """Histogram of t_b - t_a over sorted int64 tags: ceil(range/width)
+    bins of ``width`` from center - range/2, accepting the differences
+    in [center - range/2, center + range/2] (one on the upper edge of
+    the last bin is counted in it)."""
+    n_bins = int(math.ceil(range_ps / width))
+    lo = center - range_ps / 2.0
+    counts = _binned_counts(a, b, lo, n_bins, width, center + range_ps / 2.0)
+    return CoincidenceHistogram(float(width), float(center), counts)
+
+
 def cross_correlate(
     a,
     b,
@@ -148,7 +149,8 @@ def cross_correlate(
     range_ps: float,
     center_ps: float = 0.0,
 ) -> CoincidenceHistogram:
-    """Histogram of differences t_b - t_a with |diff - center| <= range/2.
+    """Histogram of differences t_b - t_a with |diff - center| <= range/2,
+    in ceil(range/bin_width) bins starting at center - range/2.
 
     Counts equal brute-force pairwise differencing exactly; runtime is
     O((n_a + n_b) log + matches). Memory beyond the inputs is bounded by
@@ -161,24 +163,7 @@ def cross_correlate(
         raise ZeroBinWidth("range_ps must be > 0")
     a_tags = _check_sorted(_tags_of(a), "a")
     b_tags = _check_sorted(_tags_of(b), "b")
-    n_bins = int(math.ceil(range_ps / bin_width_ps))
-    lo = center_ps - range_ps / 2.0
-    counts = _binned_counts(
-        a_tags, b_tags, lo, n_bins, bin_width_ps,
-        extra_accept=(lo, center_ps + range_ps / 2.0),
-    )
-    duration = max(
-        int(a_tags[-1]) if a_tags.size else 0, int(b_tags[-1]) if b_tags.size else 0
-    )
-    return CoincidenceHistogram(
-        bin_width_ps=bin_width_ps,
-        center_offset_ps=center_ps,
-        counts=counts,
-        range_ps=range_ps,
-        n_a=int(a_tags.size),
-        n_b=int(b_tags.size),
-        duration_ps=duration,
-    )
+    return _histogram(a_tags, b_tags, bin_width_ps, range_ps, center_ps)
 
 
 def _gauss_flat(x, amp, mu, sigma, base):
@@ -249,40 +234,26 @@ def estimate_car(h: CoincidenceHistogram, fit: PeakFit, window_ps: float) -> flo
     return (in_window - bg_total) / bg_total
 
 
+_COARSE_TAGS = 50_000
+_MIN_COINCIDENCES = 10
+
+
 @dataclass(frozen=True)
 class DelayExtractionConfig:
     """Two-stage peak search settings. Bin widths and counts are kept odd
-    so histograms are exactly symmetric around their (integer) centers."""
+    so histograms are exactly symmetric around their (integer) centers.
+    The coarse stage reads the first ``_COARSE_TAGS`` tags of b; a fine
+    window with fewer than ``_MIN_COINCIDENCES`` differences is no peak."""
 
     search_center_ps: float = 0.0
     search_range_ps: float = 2e9  # +-1 ms
     coarse_bin_ps: int = 1001
-    fine_bin_ps: int | None = None
     expected_sigma_ps: float | None = None
-    max_coarse_tags: int = 50_000
-    min_coincidences: int = 10
 
 
 def _odd(n: int) -> int:
     n = max(int(n), 1)
     return n if n % 2 == 1 else n + 1
-
-
-def _symmetric_hist(a, b, center: int, n_bins: int, width: int, duration_ps):
-    """Histogram with odd bin count/width: integer-ps window exactly
-    symmetric about ``center`` with all edges on half-integers."""
-    span = n_bins * width  # odd
-    lo = center - span / 2.0  # half-integer edge
-    counts = _binned_counts(a, b, lo, n_bins, float(width))
-    return CoincidenceHistogram(
-        bin_width_ps=float(width),
-        center_offset_ps=float(center),
-        counts=counts,
-        range_ps=float(span),
-        n_a=int(a.size),
-        n_b=int(b.size),
-        duration_ps=duration_ps,
-    )
 
 
 def extract_delay(a, b, config: DelayExtractionConfig | None = None):
@@ -299,48 +270,41 @@ def extract_delay(a, b, config: DelayExtractionConfig | None = None):
     b_tags = _check_sorted(_tags_of(b), "b")
     if a_tags.size == 0 or b_tags.size == 0:
         raise NoPeak("empty input stream")
-    duration = max(int(a_tags[-1]), int(b_tags[-1]))
 
     # --- coarse stage ---
     w_c = _odd(cfg.coarse_bin_ps)
     n_c = _odd(math.ceil(cfg.search_range_ps / w_c))
     center_c = int(round(cfg.search_center_ps))
-    b_prefix = b_tags[: cfg.max_coarse_tags]
-    coarse = _symmetric_hist(a_tags, b_prefix, center_c, n_c, w_c, duration)
+    b_prefix = b_tags[:_COARSE_TAGS]
+    coarse = _histogram(a_tags, b_prefix, w_c, n_c * w_c, center_c)
     bg = float(np.median(coarse.counts))
     peak_idx = int(np.argmax(coarse.counts))
     if coarse.counts[peak_idx] <= bg + 5.0 * math.sqrt(max(bg, 1.0)):
         raise NoPeak("no significant peak in coarse search range")
     # refine the center on raw differences around the winning bin
-    span = n_c * w_c
-    lo_win = center_c - span / 2.0 + (peak_idx - 2) * w_c
-    hi_win = lo_win + 5 * w_c
-    near = _window_diffs(a_tags, b_prefix, lo_win, hi_win)
+    lo_win = center_c - n_c * w_c / 2.0 + (peak_idx - 2) * w_c
+    near = _window_diffs(a_tags, b_prefix, lo_win, lo_win + 5 * w_c)
     if near.size == 0:
         raise NoPeak("no differences near coarse peak")
     c0 = int(np.rint(np.mean(near)))
 
     # --- fine stage ---
-    if cfg.fine_bin_ps is not None:
-        w_f = _odd(cfg.fine_bin_ps)
-    elif cfg.expected_sigma_ps:
-        w_f = _odd(round(cfg.expected_sigma_ps / 5.0))
-    else:
-        w_f = _odd(round(w_c / 50.0))
     half = 2.0 * w_c
     if cfg.expected_sigma_ps:
+        w_f = _odd(round(cfg.expected_sigma_ps / 5.0))
         half = max(half, 8.0 * cfg.expected_sigma_ps)
+    else:
+        w_f = _odd(round(w_c / 50.0))
     n_f = _odd(math.ceil(2.0 * half / w_f))
-    fine = _symmetric_hist(a_tags, b_tags, c0, n_f, w_f, duration)
+    fine = _histogram(a_tags, b_tags, w_f, n_f * w_f, c0)
     total = int(fine.counts.sum())
-    if total < cfg.min_coincidences:
+    if total < _MIN_COINCIDENCES:
         raise NoPeak(f"only {total} differences in fine window")
 
     top = int(np.argmax(fine.counts))
     if fine.counts[top] >= 0.9 * total:
         # effectively unjittered peak: the weighted mean is exact
-        span_f = n_f * w_f
-        lo_bin = c0 - span_f / 2.0 + (top - 1) * w_f
+        lo_bin = c0 - n_f * w_f / 2.0 + (top - 1) * w_f
         diffs = _window_diffs(a_tags, b_tags, lo_bin, lo_bin + 3 * w_f)
         mean = float(np.mean(diffs))
         stderr = float(np.std(diffs) / math.sqrt(diffs.size))
@@ -361,11 +325,10 @@ def empirical_car(a, b, window_ps: float, config: DelayExtractionConfig | None =
     delay, _ = extract_delay(a, b, config)
     a_tags = _check_sorted(_tags_of(a), "a")
     b_tags = _check_sorted(_tags_of(b), "b")
-    duration = max(int(a_tags[-1]), int(b_tags[-1]))
     bin_w = _odd(round(window_ps / 25.0))
     window_eff = 25 * bin_w
     n_bins = 401  # ~16 window-widths of background around the peak
-    hist = _symmetric_hist(a_tags, b_tags, int(round(delay)), n_bins, bin_w, duration)
+    hist = _histogram(a_tags, b_tags, bin_w, n_bins * bin_w, int(round(delay)))
     fit = fit_peak(hist)
     value = estimate_car(hist, fit, float(window_eff))
     return value, float(window_eff), hist, fit

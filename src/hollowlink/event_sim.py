@@ -18,6 +18,7 @@ stream-id table is fixed in ``_STREAMS`` below.
 
 from __future__ import annotations
 
+import math
 import struct
 import warnings
 from dataclasses import dataclass, replace
@@ -158,20 +159,20 @@ def direction_scenario(s: CoexistenceScenario, direction: str) -> CoexistenceSce
 
 
 def _poisson_chunks(rate_cps: float, duration_ps: int, rng: np.random.Generator):
-    """Yield sorted int64 chunks of a homogeneous Poisson process."""
+    """Yield sorted int64 chunks of a homogeneous Poisson process, each
+    drawn for the events expected in the time left + 8 sigma (<= _CHUNK)."""
     if rate_cps <= 0 or duration_ps <= 0:
         return
     scale_ps = PS_PER_S / rate_cps
     t = 0.0
-    while True:
-        times = t + np.cumsum(rng.exponential(scale_ps, _CHUNK))
-        if times[-1] >= duration_ps:
-            times = times[times < duration_ps]
-            if times.size:
-                yield np.rint(times).astype(np.int64)
-            return
-        yield np.rint(times).astype(np.int64)
+    while t < duration_ps:
+        left = (duration_ps - t) / scale_ps
+        n = min(_CHUNK, int(left + 8.0 * math.sqrt(left)) + 16)
+        times = t + np.cumsum(rng.exponential(scale_ps, n))
         t = times[-1]
+        times = times[times < duration_ps]
+        if times.size:
+            yield np.rint(times).astype(np.int64)
 
 
 def generate_pairs(run: SimRun, source: str = "ab"):

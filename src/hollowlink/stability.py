@@ -80,29 +80,39 @@ def _ci(dev: float, edf: float) -> tuple[float, float]:
     return lo, hi
 
 
-def tdev(series: PhaseSeries, ms: list[int] | None = None) -> StabilityCurve:
-    """Overlapping time deviation at averaging times m * tau0 (octave grid
-    by default)."""
+def _deviations(series: PhaseSeries, ms, span: int, terms) -> StabilityCurve:
+    """Deviation at averaging times m * tau0 (octave grid by default): the
+    root of sum(terms**2) / norm, where ``terms(x, m)`` returns the terms
+    and their normaliser; averaging factor m needs ``span`` * m + 1 samples."""
     x = series.x_s
     n = x.size
-    ms = ms if ms is not None else _default_ms(n, 3)
+    ms = ms if ms is not None else _default_ms(n, span)
     taus, devs, los, his, counts = [], [], [], [], []
     for m in ms:
         m = int(m)
-        if n < 3 * m + 1:
-            raise SeriesTooShort(f"need N >= 3m+1 = {3 * m + 1}, have {n}", m=m)
-        sums = _window_sums(_second_diffs(x, m), m)
-        var = float(np.sum(sums**2)) / (6.0 * m * m * sums.size)
+        if n < span * m + 1:
+            raise SeriesTooShort(f"need N >= {span}m+1 = {span * m + 1}, have {n}", m=m)
+        d, norm = terms(x, m)
         taus.append(m * series.tau0_s)
-        devs.append(math.sqrt(var))
-        lo, hi = _ci(devs[-1], max(1.0, (n - 1) // (3 * m)))
+        devs.append(math.sqrt(float(np.sum(d**2)) / norm))
+        lo, hi = _ci(devs[-1], max(1.0, (n - 1) // (span * m)))
         los.append(lo)
         his.append(hi)
-        counts.append(sums.size)
+        counts.append(d.size)
     return StabilityCurve(
         np.array(taus), np.array(devs), np.array(los), np.array(his),
         np.array(counts, dtype=np.int64),
     )
+
+
+def tdev(series: PhaseSeries, ms: list[int] | None = None) -> StabilityCurve:
+    """Overlapping time deviation at averaging times m * tau0 (octave grid
+    by default)."""
+    def terms(x, m):
+        sums = _window_sums(_second_diffs(x, m), m)
+        return sums, 6.0 * m * m * sums.size
+
+    return _deviations(series, ms, 3, terms)
 
 
 def mdev(series: PhaseSeries, ms: list[int] | None = None) -> StabilityCurve:
@@ -118,26 +128,11 @@ def mdev(series: PhaseSeries, ms: list[int] | None = None) -> StabilityCurve:
 
 def adev(series: PhaseSeries, ms: list[int] | None = None) -> StabilityCurve:
     """Overlapping Allan deviation at averaging times m * tau0."""
-    x = series.x_s
-    n = x.size
-    ms = ms if ms is not None else _default_ms(n, 2)
-    taus, devs, los, his, counts = [], [], [], [], []
-    for m in ms:
-        m = int(m)
-        if n < 2 * m + 1:
-            raise SeriesTooShort(f"need N >= 2m+1 = {2 * m + 1}, have {n}", m=m)
+    def terms(x, m):
         d = _second_diffs(x, m)
-        var = float(np.sum(d**2)) / (2.0 * (m * series.tau0_s) ** 2 * d.size)
-        taus.append(m * series.tau0_s)
-        devs.append(math.sqrt(var))
-        lo, hi = _ci(devs[-1], max(1.0, (n - 1) // (2 * m)))
-        los.append(lo)
-        his.append(hi)
-        counts.append(d.size)
-    return StabilityCurve(
-        np.array(taus), np.array(devs), np.array(los), np.array(his),
-        np.array(counts, dtype=np.int64),
-    )
+        return d, 2.0 * (m * series.tau0_s) ** 2 * d.size
+
+    return _deviations(series, ms, 2, terms)
 
 
 def synthesize_noise(

@@ -74,11 +74,7 @@ def _slice(tags: np.ndarray, t0: int, t1: int) -> np.ndarray:
     return tags[lo:hi]
 
 
-def run_session(
-    run: SimRun,
-    measurement_interval_s: float,
-    config: DelayExtractionConfig | None = None,
-) -> OffsetSeries:
+def run_session(run: SimRun, measurement_interval_s: float) -> OffsetSeries:
     """Simulate ``run``, cut the streams into consecutive intervals
     aligned to t=0 (partial trailing interval dropped), extract both
     one-way delays per interval, and combine them into offset samples.
@@ -100,7 +96,7 @@ def run_session(
 
     streams = run_scenario(run)
     sigma = max(effective_peak_sigma(s), 1.0)
-    base = config or DelayExtractionConfig(expected_sigma_ps=sigma)
+    base = DelayExtractionConfig(expected_sigma_ps=sigma)
 
     # One wide search per direction; intervals then search near it.
     pairs = {
@@ -117,7 +113,6 @@ def run_session(
             search_range_ps=max(1e6, 64.0 * sigma),
             coarse_bin_ps=max(int(4 * sigma) | 1, 101),
             expected_sigma_ps=sigma,
-            min_coincidences=base.min_coincidences,
         )
         for direction in pairs
     }

@@ -204,6 +204,11 @@ class TestScans:
         # decreasing beyond the forward-noise regime
         assert np.all(np.diff(cars[5:]) < 0)
 
+    def test_length_scan_keeps_backward_only_carrier(self):
+        s = replace(paper_scenario(), carrier=ClassicalCarrier(0.0, 2.0))
+        for l, c in scan_length(s, 1.0, 213.0, 5):
+            assert c == car(with_length(s, l))
+
     def test_zero_length_reduces_to_fiberless(self):
         s = paper_scenario()
         b = singles_breakdown(with_length(s, 0.0))

@@ -158,7 +158,7 @@ class TestFitPeak:
         if seed is not None:
             r = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
             counts = r.poisson(model)
-        return CoincidenceHistogram(width, 0.0, counts, n_bins * width, 10, 10, 10**9)
+        return CoincidenceHistogram(width, 0.0, counts)
 
     def test_noiseless_centroid_recovery(self):
         h = self.make_hist(amp=50000.0, mu=333.0, sigma=180.0, bg=50.0)
@@ -168,12 +168,12 @@ class TestFitPeak:
         assert fit.background_per_bin == pytest.approx(50.0, rel=0.05)
 
     def test_flat_histogram_raises_nopeak(self):
-        h = CoincidenceHistogram(20, 0.0, np.full(100, 40, dtype=np.int64), 2000, 5, 5, 10**9)
+        h = CoincidenceHistogram(20, 0.0, np.full(100, 40, dtype=np.int64))
         with pytest.raises(NoPeak):
             fit_peak(h)
 
     def test_too_few_bins_raises(self):
-        h = CoincidenceHistogram(20, 0.0, np.array([1, 2, 100, 2], dtype=np.int64), 80, 5, 5, 10**9)
+        h = CoincidenceHistogram(20, 0.0, np.array([1, 2, 100, 2], dtype=np.int64))
         with pytest.raises(NoPeak):
             fit_peak(h)
 
@@ -190,7 +190,7 @@ class TestFitPeak:
 class TestEstimateCar:
     def test_flat_histogram_car_near_zero(self, rng):
         counts = rng.poisson(100.0, 401).astype(np.int64)
-        h = CoincidenceHistogram(20, 0.0, counts, 401 * 20, 10, 10, 10**9)
+        h = CoincidenceHistogram(20, 0.0, counts)
         fit = PeakFit(0.0, 1.0, 50.0, 0.0, float(np.mean(counts)), 1.0)
         value = estimate_car(h, fit, 500.0)
         assert abs(value) < 0.1
@@ -198,7 +198,7 @@ class TestEstimateCar:
     def test_zero_background_raises(self):
         centers = (np.arange(101) - 50.0) * 20
         counts = np.round(1000 * np.exp(-0.5 * (centers / 30.0) ** 2)).astype(np.int64)
-        h = CoincidenceHistogram(20, 0.0, counts, 2020, 10, 10, 10**9)
+        h = CoincidenceHistogram(20, 0.0, counts)
         fit = PeakFit(0.0, 1.0, 30.0, 1000.0, 0.0, 1.0)
         with pytest.raises(ZeroBackground):
             estimate_car(h, fit, 400.0)
@@ -280,9 +280,24 @@ class TestEmpiricalCar:
         n_cc = value * fit.background_per_bin * 25
         assert value == pytest.approx(analytic, rel=4 / math.sqrt(max(n_cc, 1)) + 0.05)
 
+    def test_histogram_matches_brute_force(self):
+        # 401 odd-width bins centred on the rounded delay: the layout of
+        # the fine stage, checked against the pairwise oracle
+        run = SimRun(jitter_scenario(), duration_s=0.5, seed=73, link_delay_ab_ps=300_000.0)
+        streams = run_scenario(run)
+        a, b = streams.local_ab.tags_ps, streams.remote_ab.tags_ps
+        cfg = DelayExtractionConfig(search_range_ps=1e6, expected_sigma_ps=220.0)
+        delay, _ = extract_delay(a, b, cfg)
+        _, window_eff, hist, _ = empirical_car(a, b, 1000.0, cfg)
+        w, c = window_eff / 25, round(delay)
+        assert hist.bin_width_ps == w and hist.center_offset_ps == c
+        # the oracle summed over slices of b, to bound its memory
+        want = sum(brute_force_counts(a, b[i : i + 200], w, 401 * w, c) for i in range(0, b.size, 200))
+        assert np.array_equal(hist.counts, want)
+
 
 def test_histogram_csv_schema():
-    h = CoincidenceHistogram(10, 0.0, np.array([1, 2, 3], dtype=np.int64), 30, 2, 2, 100)
+    h = CoincidenceHistogram(10, 0.0, np.array([1, 2, 3], dtype=np.int64))
     text = histogram_csv(h)
     lines = text.splitlines()
     assert lines[0] == "bin_center_ps,counts"

@@ -49,6 +49,10 @@ def lossless_scenario(pair_rate=2e4):
     )
 
 
+def philox(seed):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
 def all_pairs(run, source="ab"):
     chunks = list(generate_pairs(run, source))
     return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
@@ -128,6 +132,29 @@ class TestInjectPoissonNoise:
         gaps_s = np.diff(tags) / PS_PER_S
         result = stats.kstest(gaps_s, "expon", args=(0.0, 1.0 / rate))
         assert result.pvalue > 0.01
+
+    @pytest.mark.parametrize("rate", [100.0, 4e4, 2e5])
+    def test_equals_single_draw(self, rate):
+        # sized draws continue the generator's sequence, so they give the
+        # values of one draw long enough to pass the duration
+        got = inject_poisson_noise(rate, 1.0, philox(8))
+        draws = philox(8).exponential(PS_PER_S / rate, int(3 * rate) + 100)
+        times = np.cumsum(draws)
+        assert times[-1] >= PS_PER_S
+        want = np.rint(times[times < PS_PER_S]).astype(np.int64)
+        assert np.array_equal(got, want)
+
+    def test_draw_sized_to_expected_count(self):
+        sizes = []
+        draw = philox(9).exponential
+
+        class Spy:
+            def exponential(self, scale, size):
+                sizes.append(size)
+                return draw(scale, size)
+
+        tags = inject_poisson_noise(100.0, 1.0, Spy())
+        assert tags.size > 0 and sum(sizes) < 1000
 
 
 def _dead_time_mask_loop(tags, dead_ps):
