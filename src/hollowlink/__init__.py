@@ -36,6 +36,7 @@ from .event_sim import (
     generate_pairs,
     inject_poisson_noise,
     run_scenario,
+    simulate_direction,
     transmit_and_detect,
 )
 from .coincidence import (

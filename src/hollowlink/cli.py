@@ -16,11 +16,12 @@ import json
 import os
 import sys
 from dataclasses import replace
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from . import coexistence, coincidence, config, stability, twtt
+from . import coexistence, coincidence, config, event_sim, stability, twtt
 from .coexistence import car, max_distance, scan_csv, with_power
 from .errors import ConfigError, DegenerateScenario, HollowlinkError, ZeroBackground
 from .event_sim import run_scenario, write_timetags_binary, write_timetags_csv
@@ -177,14 +178,9 @@ def cmd_simulate(args) -> int:
         "channels": {},
         "car": {},
     }
-    from .event_sim import direction_scenario
-
-    sim_pairs = {
-        "ab": (streams.local_ab, streams.remote_ab),
-        "ba": (streams.local_ba, streams.remote_ba),
-    }
-    for direction, (local, remote) in sim_pairs.items():
-        ds = direction_scenario(scenario, direction)
+    for direction, (loc_ch, rem_ch) in event_sim.CHANNELS.items():
+        local, remote = streams[loc_ch], streams[rem_ch]
+        ds = event_sim.direction_scenario(scenario, direction)
         ana_local, ana_remote = coexistence.singles_rates(ds)
         summary["channels"][direction] = {
             "local_cps_empirical": round(local.rate_cps, 3),
@@ -213,8 +209,6 @@ def cmd_simulate(args) -> int:
                 entry["empirical"] = "unbounded"
         summary["car"][direction] = entry
     if not args.no_timestamp:
-        from datetime import datetime, timezone
-
         summary["generated"] = datetime.now(timezone.utc).isoformat(
             timespec="seconds"
         )
@@ -338,10 +332,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (HollowlinkError, ValueError) as exc:

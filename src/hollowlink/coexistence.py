@@ -189,12 +189,15 @@ def with_length(s: CoexistenceScenario, length_km: float) -> CoexistenceScenario
 def with_power(s: CoexistenceScenario, power_mw: float) -> CoexistenceScenario:
     """Scenario with the forward carrier power set to ``power_mw`` and the
     backward power scaled to preserve the base backward/forward ratio
-    (a forward-only base stays forward-only; its own power returns it)."""
+    (a forward-only base stays forward-only, a backward-only base keeps
+    its backward power; its own power returns it)."""
     base = s.carrier
     if power_mw == base.power_fwd_mw:
         return s
-    ratio = base.power_bwd_mw / base.power_fwd_mw if base.power_fwd_mw > 0 else 0.0
-    carrier = replace(base, power_fwd_mw=power_mw, power_bwd_mw=power_mw * ratio)
+    bwd = base.power_bwd_mw
+    if base.power_fwd_mw > 0:
+        bwd = power_mw * (bwd / base.power_fwd_mw)
+    carrier = replace(base, power_fwd_mw=power_mw, power_bwd_mw=bwd)
     return replace(s, carrier=carrier)
 
 

@@ -28,7 +28,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import curve_fit
 
-from .errors import NoConvergence, NoPeak, UnsortedInput, ZeroBackground, ZeroBinWidth
+from .errors import NoConvergence, NoPeak, ZeroBackground, ZeroBinWidth
+from .event_sim import sorted_tags
 
 _B_BLOCK = 1_000_000  # tags of b processed per correlation block
 # Differences held at once within a block. On a 17 M-difference wide
@@ -68,17 +69,6 @@ class PeakFit:
     amplitude_per_bin: float
     background_per_bin: float
     goodness: float  # reduced chi-square with Poisson variances
-
-
-def _check_sorted(tags: np.ndarray, name: str) -> np.ndarray:
-    arr = np.asarray(tags, dtype=np.int64)
-    if arr.size and np.any(np.diff(arr) < 0):
-        raise UnsortedInput(f"{name} must be sorted")
-    return arr
-
-
-def _tags_of(stream) -> np.ndarray:
-    return stream.tags_ps if hasattr(stream, "tags_ps") else np.asarray(stream)
 
 
 def _match_ranges(a: np.ndarray, b_block: np.ndarray, d_lo: float, d_hi: float):
@@ -161,8 +151,8 @@ def cross_correlate(
         raise ZeroBinWidth("bin_width_ps must be > 0")
     if range_ps <= 0:
         raise ZeroBinWidth("range_ps must be > 0")
-    a_tags = _check_sorted(_tags_of(a), "a")
-    b_tags = _check_sorted(_tags_of(b), "b")
+    a_tags = sorted_tags(a, "a")
+    b_tags = sorted_tags(b, "b")
     return _histogram(a_tags, b_tags, bin_width_ps, range_ps, center_ps)
 
 
@@ -266,8 +256,8 @@ def extract_delay(a, b, config: DelayExtractionConfig | None = None):
     bin) falls back to the exact count-weighted mean.
     """
     cfg = config or DelayExtractionConfig()
-    a_tags = _check_sorted(_tags_of(a), "a")
-    b_tags = _check_sorted(_tags_of(b), "b")
+    a_tags = sorted_tags(a, "a")
+    b_tags = sorted_tags(b, "b")
     if a_tags.size == 0 or b_tags.size == 0:
         raise NoPeak("empty input stream")
 
@@ -322,9 +312,9 @@ def empirical_car(a, b, window_ps: float, config: DelayExtractionConfig | None =
     ``window_eff_ps`` is the width actually used and should also be used
     on the analytic side of any comparison.
     """
-    delay, _ = extract_delay(a, b, config)
-    a_tags = _check_sorted(_tags_of(a), "a")
-    b_tags = _check_sorted(_tags_of(b), "b")
+    delay, _ = extract_delay(a, b, config)  # checks that a and b are sorted
+    a_tags = np.asarray(getattr(a, "tags_ps", a), dtype=np.int64)
+    b_tags = np.asarray(getattr(b, "tags_ps", b), dtype=np.int64)
     bin_w = _odd(round(window_ps / 25.0))
     window_eff = 25 * bin_w
     n_bins = 401  # ~16 window-widths of background around the peak

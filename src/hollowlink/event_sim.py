@@ -1,19 +1,21 @@
 """Monte Carlo generation of detector timestamp streams.
 
 Produces the four single-photon-detector streams of a bidirectional
-two-way session. ``run_scenario`` composes the stage functions below:
-``generate_pairs`` yields correlated pair emissions in chunks,
-``transmit_and_detect`` thins, delays and smears each arm,
-``_clock_to_site_b`` stamps site B's detections with its clock error
-(after jitter, as a real detector's time tagger does),
-``inject_poisson_noise`` adds SpRS and dark counts, and
-``apply_dead_time`` filters each merged channel (non-paralyzable).
+two-way session. ``run_scenario`` simulates each quantum direction in
+turn with ``simulate_direction``, which composes the stage functions
+below: ``generate_pairs`` yields correlated pair emissions in chunks,
+``transmit_and_detect`` thins, delays and smears each arm, and
+``_finalize`` completes each channel. It adds SpRS counts
+(``inject_poisson_noise``); on the channels site B records it then
+applies ``_clock_to_site_b`` to every part, the one place site B's clock
+error is stamped (after jitter, as a real detector's time tagger does);
+it adds dark counts and applies ``apply_dead_time`` (non-paralyzable).
 
 All timestamps are 64-bit integer picoseconds. Randomness comes from
 numpy's counter-based Philox generator; each stage draws from its own
 stream derived from ``SeedSequence(seed, spawn_key=(stream_id,))``, so a
-given ``SimRun`` reproduces bit-identical streams on any platform. The
-stream-id table is fixed in ``_STREAMS`` below.
+given ``SimRun`` reproduces bit-identical streams on any platform, for
+either direction alone too. The stream-id table is fixed in ``_STREAMS``.
 """
 
 from __future__ import annotations
@@ -56,6 +58,11 @@ _STREAMS = {
     "clock_wpm_ch2": 15,
 }
 
+# The (local, remote) channels of each direction; a channel id is also its
+# position in SimStreams. Site B records ch1 and ch2.
+CHANNELS = {"ab": (0, 1), "ba": (2, 3)}
+_SITE_B = (1, 2)
+
 TIMETAG_MAGIC = b"QTAGS002"
 _TIMETAG_MAGIC_V1 = b"QTAGS001"  # no duration field; still readable
 
@@ -69,13 +76,10 @@ class TimeTagStream:
     duration_ps: int
 
     def __post_init__(self):
-        tags = np.ascontiguousarray(self.tags_ps, dtype=np.int64)
+        tags = sorted_tags(np.ascontiguousarray(self.tags_ps, dtype=np.int64))
         object.__setattr__(self, "tags_ps", tags)
-        if tags.size:
-            if np.any(np.diff(tags) < 0):
-                raise UnsortedInput("tags_ps must be sorted")
-            if tags[0] < 0 or tags[-1] > self.duration_ps:
-                raise ValueError("tags_ps must lie within [0, duration_ps]")
+        if tags.size and (tags[0] < 0 or tags[-1] > self.duration_ps):
+            raise ValueError("tags_ps must lie within [0, duration_ps]")
 
     def __len__(self):
         return int(self.tags_ps.size)
@@ -125,10 +129,21 @@ class SimRun:
         return int(round(self.duration_s * PS_PER_S))
 
 
+def sorted_tags(tags, name: str = "tags_ps") -> np.ndarray:
+    """The int64 tags of a TimeTagStream (checked when it was built) or of
+    an array, which must be sorted."""
+    if isinstance(tags, TimeTagStream):
+        return tags.tags_ps
+    arr = np.asarray(tags, dtype=np.int64)
+    if arr.size and np.any(np.diff(arr) < 0):
+        raise UnsortedInput(f"{name} must be sorted")
+    return arr
+
+
 class SimStreams(NamedTuple):
-    """The four detector streams (Fig.-1-style numbering):
-    ch0 local idler @A, ch1 remote signal @B, ch2 local idler @B,
-    ch3 remote signal @A."""
+    """The four detector streams, in channel order (Fig.-1-style
+    numbering): ch0 local idler @A, ch1 remote signal @B, ch2 local idler
+    @B, ch3 remote signal @A."""
 
     local_ab: TimeTagStream
     remote_ab: TimeTagStream
@@ -242,16 +257,15 @@ def apply_dead_time(stream, dead_time_ns: float):
     at once, each pass jumps from the last kept tag to the first tag a
     dead time later (a binary search) while that lies inside its cluster,
     so the passes number the most tags kept in one cluster."""
-    if isinstance(stream, TimeTagStream):
-        kept = apply_dead_time(stream.tags_ps, dead_time_ns)
-        return replace(stream, tags_ps=kept)
-    tags = np.asarray(stream, dtype=np.int64)
-    if tags.size and np.any(np.diff(tags) < 0):
-        raise UnsortedInput("apply_dead_time requires sorted input")
+    tags = sorted_tags(stream, "apply_dead_time input")
     dead_ps = int(round(dead_time_ns * 1000.0))
     if dead_ps <= 0 or tags.size == 0:
-        return tags.copy()
-    return tags[_dead_time_mask(tags, dead_ps)]
+        kept = tags.copy()
+    else:
+        kept = tags[_dead_time_mask(tags, dead_ps)]
+    if isinstance(stream, TimeTagStream):
+        return replace(stream, tags_ps=kept)
+    return kept
 
 
 def _clock_to_site_b(
@@ -268,22 +282,34 @@ def _clock_to_site_b(
     return tags + np.rint(corr).astype(np.int64)
 
 
-def _finalize(parts, duration_ps, dead_time_ns, channel_id) -> TimeTagStream:
-    """Merge source streams (stable sort keeps the documented
-    signal < sprs_fwd < sprs_bwd < dark order at equal times), clip to the
-    observation window, and apply dead time."""
+def _finalize(run: SimRun, channel_id: int, det, parts, sprs_cps=()) -> TimeTagStream:
+    """Complete one channel: add its SpRS counts at ``sprs_cps`` (forward,
+    backward), put every part so far on site B's clock if site B records
+    the channel, add dark counts, merge (a stable sort keeps signal <
+    sprs_fwd < sprs_bwd < dark at equal times), clip and apply dead time."""
+    for way, rate in zip(("fwd", "bwd"), sprs_cps):
+        rng = stream_rng(run.seed, f"sprs_{way}_ch{channel_id}")
+        parts.append(inject_poisson_noise(rate, run.duration_s, rng))
+    if channel_id in _SITE_B:
+        rng = stream_rng(run.seed, f"clock_wpm_ch{channel_id}")
+        parts = [_clock_to_site_b(p, run.clock_error, rng) for p in parts]
+    rng = stream_rng(run.seed, f"dark_ch{channel_id}")
+    parts.append(inject_poisson_noise(det.dark_rate_cps, run.duration_s, rng))
     merged = np.concatenate([p for p in parts if p.size] or [np.empty(0, np.int64)])
     merged.sort(kind="stable")
-    merged = merged[(merged >= 0) & (merged <= duration_ps)]
-    kept = apply_dead_time(merged, dead_time_ns)
-    return TimeTagStream(channel_id=channel_id, tags_ps=kept, duration_ps=duration_ps)
+    merged = merged[(merged >= 0) & (merged <= run.duration_ps)]
+    kept = apply_dead_time(merged, det.dead_time_ns)
+    return TimeTagStream(channel_id=channel_id, tags_ps=kept, duration_ps=run.duration_ps)
 
 
-def run_scenario(run: SimRun) -> SimStreams:
-    """Simulate the full bidirectional session and return the four
-    detector streams. Deterministic given the run (seed included)."""
+def simulate_direction(run: SimRun, direction: str) -> tuple[TimeTagStream, TimeTagStream]:
+    """Simulate one quantum direction, "ab" or "ba": its (local, remote)
+    streams, channels ``CHANNELS[direction]`` of ``run_scenario``."""
     s = run.scenario
+    ds = direction_scenario(s, direction)  # also rejects an unknown direction
+    loc_ch, rem_ch = CHANNELS[direction]
     det_loc, det_rem = s.det_local, s.det_remote
+    delay_ps = run.link_delay_ab_ps if direction == "ab" else run.link_delay_ba_ps
     sigma_disp = 0.0
     if not s.dcm_engaged:
         sigma_disp = (
@@ -291,45 +317,27 @@ def run_scenario(run: SimRun) -> SimStreams:
         )
     p_local = s.source.arm_eff_local * det_loc.efficiency
     p_remote = s.source.arm_eff_remote * channel_transmittance(s.link) * det_rem.efficiency
-    clock = run.clock_error
+    rng_loc = stream_rng(run.seed, f"detect_local_{direction}")
+    rng_rem = stream_rng(run.seed, f"detect_remote_{direction}")
 
-    def noise(name, rate_cps):
-        return inject_poisson_noise(rate_cps, run.duration_s, stream_rng(run.seed, name))
+    loc_parts, rem_parts = [], []
+    for chunk in generate_pairs(run, direction):
+        loc = transmit_and_detect(chunk, p_local, det_loc.jitter_sigma_ps, 0, 0, rng_loc)
+        rem = transmit_and_detect(
+            chunk, p_remote, det_rem.jitter_sigma_ps, sigma_disp, delay_ps, rng_rem
+        )
+        loc_parts.append(loc)
+        rem_parts.append(rem)
+    return (
+        _finalize(run, loc_ch, det_loc, loc_parts),
+        _finalize(run, rem_ch, det_rem, rem_parts, noise_rates(ds)),
+    )
 
-    channels = []
-    # Site B records ch1 (remote arm of A->B) and ch2 (local arm of B->A).
-    for direction, loc_ch, rem_ch, delay_ps in (
-        ("ab", 0, 1, run.link_delay_ab_ps),
-        ("ba", 2, 3, run.link_delay_ba_ps),
-    ):
-        rng_loc = stream_rng(run.seed, f"detect_local_{direction}")
-        rng_rem = stream_rng(run.seed, f"detect_remote_{direction}")
-        remote_at_b = direction == "ab"
-        rng_wpm = stream_rng(run.seed, f"clock_wpm_ch{rem_ch if remote_at_b else loc_ch}")
 
-        loc_parts, rem_parts = [], []
-        for chunk in generate_pairs(run, direction):
-            loc = transmit_and_detect(chunk, p_local, det_loc.jitter_sigma_ps, 0, 0, rng_loc)
-            rem = transmit_and_detect(
-                chunk, p_remote, det_rem.jitter_sigma_ps, sigma_disp, delay_ps, rng_rem
-            )
-            if remote_at_b:
-                rem = _clock_to_site_b(rem, clock, rng_wpm)
-            else:
-                loc = _clock_to_site_b(loc, clock, rng_wpm)
-            loc_parts.append(loc)
-            rem_parts.append(rem)
-
-        n_f, n_b = noise_rates(direction_scenario(s, direction))
-        sprs = [noise(f"sprs_fwd_ch{rem_ch}", n_f), noise(f"sprs_bwd_ch{rem_ch}", n_b)]
-        if remote_at_b:
-            sprs = [_clock_to_site_b(tags, clock, rng_wpm) for tags in sprs]
-        loc_parts.append(noise(f"dark_ch{loc_ch}", det_loc.dark_rate_cps))
-        rem_parts += sprs + [noise(f"dark_ch{rem_ch}", det_rem.dark_rate_cps)]
-        channels.append(_finalize(loc_parts, run.duration_ps, det_loc.dead_time_ns, loc_ch))
-        channels.append(_finalize(rem_parts, run.duration_ps, det_rem.dead_time_ns, rem_ch))
-
-    return SimStreams(*channels)
+def run_scenario(run: SimRun) -> SimStreams:
+    """Simulate the full bidirectional session and return the four
+    detector streams. Deterministic given the run (seed included)."""
+    return SimStreams(*simulate_direction(run, "ab"), *simulate_direction(run, "ba"))
 
 
 def write_timetags_binary(path, stream: TimeTagStream) -> None:

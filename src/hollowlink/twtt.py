@@ -21,6 +21,7 @@ from .coexistence import effective_peak_sigma, true_coincidence_rate
 from .coincidence import DelayExtractionConfig, extract_delay
 from .errors import InsufficientCoincidences, NoPeak
 from .event_sim import (
+    CHANNELS,
     PS_PER_S,
     ClockError,
     SimRun,
@@ -85,7 +86,7 @@ def run_session(run: SimRun, measurement_interval_s: float) -> OffsetSeries:
     if measurement_interval_s <= 0:
         raise ValueError("measurement_interval_s must be > 0")
     s = run.scenario
-    for direction in ("ab", "ba"):
+    for direction in CHANNELS:
         expected = true_coincidence_rate(direction_scenario(s, direction))
         expected *= measurement_interval_s
         if expected < 100.0:
@@ -100,8 +101,8 @@ def run_session(run: SimRun, measurement_interval_s: float) -> OffsetSeries:
 
     # One wide search per direction; intervals then search near it.
     pairs = {
-        "ab": (streams.local_ab.tags_ps, streams.remote_ab.tags_ps),
-        "ba": (streams.local_ba.tags_ps, streams.remote_ba.tags_ps),
+        direction: (streams[local].tags_ps, streams[remote].tags_ps)
+        for direction, (local, remote) in CHANNELS.items()
     }
     centers = {}
     for direction, (ta, tb) in pairs.items():

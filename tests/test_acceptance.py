@@ -32,7 +32,7 @@ from hollowlink.event_sim import (
     ClockError,
     SimRun,
     direction_scenario,
-    run_scenario,
+    simulate_direction,
 )
 from hollowlink.link_model import (
     ClassicalCarrier,
@@ -116,11 +116,11 @@ class CarCounts:
             run = SimRun(
                 scenario, duration_s=duration_s, seed=seed, link_delay_ab_ps=delay_ps
             )
-            streams = run_scenario(run)
-            self.singles += (len(streams.local_ab), len(streams.remote_ab))
+            local, remote = simulate_direction(run, "ab")
+            self.singles += (len(local), len(remote))
             h = cross_correlate(
-                streams.local_ab.tags_ps,
-                streams.remote_ab.tags_ps,
+                local.tags_ps,
+                remote.tags_ps,
                 bin_w,
                 n_bins * bin_w,
                 round(delay_ps),

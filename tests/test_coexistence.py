@@ -22,6 +22,7 @@ from hollowlink.coexistence import (
     with_length,
     with_power,
 )
+from hollowlink import config
 from hollowlink.errors import DegenerateScenario, InvalidRange, ThresholdAboveBest
 from hollowlink.link_model import (
     ClassicalCarrier,
@@ -208,6 +209,15 @@ class TestScans:
         s = replace(paper_scenario(), carrier=ClassicalCarrier(0.0, 2.0))
         for l, c in scan_length(s, 1.0, 213.0, 5):
             assert c == car(with_length(s, l))
+
+    def test_power_scan_keeps_backward_only_carrier(self):
+        # a base with no forward light keeps its backward light at every
+        # scanned forward power, so more forward power only lowers CAR
+        s = config.build_scenario(config.load_preset("paper-122km"))
+        s = replace(s, carrier=ClassicalCarrier(0.0, 2.0))
+        assert with_power(s, 1.0).carrier.power_bwd_mw == 2.0
+        cars = [c for _, c in scan_power(s, 0.0, 1.0, 3)]
+        assert cars[0] > cars[1] > cars[2]
 
     def test_zero_length_reduces_to_fiberless(self):
         s = paper_scenario()

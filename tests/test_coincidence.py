@@ -19,7 +19,7 @@ from hollowlink.coincidence import (
     histogram_csv,
 )
 from hollowlink.errors import NoPeak, UnsortedInput, ZeroBackground, ZeroBinWidth
-from hollowlink.event_sim import ClockError, SimRun, inject_poisson_noise, run_scenario
+from hollowlink.event_sim import ClockError, SimRun, inject_poisson_noise, simulate_direction
 from hollowlink.link_model import ClassicalCarrier, DetectorModel, FiberLink
 
 
@@ -94,6 +94,18 @@ class TestCrossCorrelate:
         with pytest.raises(UnsortedInput):
             cross_correlate(np.array([3, 1], dtype=np.int64), good, 10, 100)
 
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_unsorted_arrays_raise_at_every_entry_point(self, side):
+        good = np.arange(0, 10**6, 1000, dtype=np.int64)
+        bad = good[::-1].copy()
+        args = (bad, good) if side == "a" else (good, bad)
+        with pytest.raises(UnsortedInput, match=f"{side} must be sorted"):
+            cross_correlate(*args, 10, 100)
+        with pytest.raises(UnsortedInput, match=f"{side} must be sorted"):
+            extract_delay(*args)
+        with pytest.raises(UnsortedInput, match=f"{side} must be sorted"):
+            empirical_car(*args, 1000.0)
+
 
 class TestBoundedBlocks:
     """The correlation cuts each block of b into runs of at most
@@ -121,9 +133,8 @@ class TestBoundedBlocks:
     @pytest.mark.parametrize("cap", [1, 7, 1000])
     def test_extract_delay_and_car_unchanged(self, monkeypatch, cap):
         run = SimRun(jitter_scenario(), duration_s=0.5, seed=72, link_delay_ab_ps=300_000.0)
-        streams = run_scenario(run)
+        args = simulate_direction(run, "ab")
         cfg = DelayExtractionConfig(search_range_ps=1e6, expected_sigma_ps=220.0)
-        args = (streams.local_ab, streams.remote_ab)
         delay = extract_delay(*args, cfg)
         car_value, _, hist, _ = empirical_car(*args, 1000.0, cfg)
         monkeypatch.setattr(coincidence, "_MAX_DIFFS", cap)
@@ -214,10 +225,10 @@ class TestExtractDelay:
 
     def test_antisymmetry(self):
         run = SimRun(jitter_scenario(), duration_s=2.0, seed=71, link_delay_ab_ps=987_654_321.0)
-        streams = run_scenario(run)
+        local, remote = simulate_direction(run, "ab")
         cfg = DelayExtractionConfig(expected_sigma_ps=220.0)
-        d_ab, _ = extract_delay(streams.local_ab, streams.remote_ab, cfg)
-        d_ba, _ = extract_delay(streams.remote_ab, streams.local_ab, cfg)
+        d_ab, _ = extract_delay(local, remote, cfg)
+        d_ba, _ = extract_delay(remote, local, cfg)
         assert abs(d_ab + d_ba) < 1e-6
 
     def test_uncorrelated_streams_raise_nopeak(self, rng):
@@ -235,8 +246,7 @@ class TestExtractDelay:
                     jitter_scenario(pair_rate=1e4), duration_s=duration,
                     seed=1000 + seed, link_delay_ab_ps=5e6,
                 )
-                streams = run_scenario(run)
-                _, se = extract_delay(streams.local_ab, streams.remote_ab, cfg)
+                _, se = extract_delay(*simulate_direction(run, "ab"), cfg)
                 ses[duration].append(se)
         ratio = np.mean(ses[1.0]) / np.mean(ses[4.0])
         assert ratio == pytest.approx(2.0, rel=0.1)
@@ -250,8 +260,7 @@ class TestExtractDelay:
                 jitter_scenario(pair_rate=5e3, dark=100.0),
                 duration_s=1.0, seed=2000 + seed, link_delay_ab_ps=float(d_true),
             )
-            streams = run_scenario(run)
-            delay, se = extract_delay(streams.local_ab, streams.remote_ab, cfg)
+            delay, se = extract_delay(*simulate_direction(run, "ab"), cfg)
             residuals.append(delay - d_true)
             stderrs.append(se)
         mean_resid = float(np.mean(residuals))
@@ -270,9 +279,8 @@ class TestEmpiricalCar:
 
         s = desk_scenario()
         run = SimRun(s, duration_s=5.0, seed=77, link_delay_ab_ps=2e6)
-        streams = run_scenario(run)
         value, window_eff, hist, fit = empirical_car(
-            streams.local_ab, streams.remote_ab, s.window_ps,
+            *simulate_direction(run, "ab"), s.window_ps,
             DelayExtractionConfig(expected_sigma_ps=90.0),
         )
         analytic = car(replace(s, window_ps=window_eff))
@@ -284,8 +292,8 @@ class TestEmpiricalCar:
         # 401 odd-width bins centred on the rounded delay: the layout of
         # the fine stage, checked against the pairwise oracle
         run = SimRun(jitter_scenario(), duration_s=0.5, seed=73, link_delay_ab_ps=300_000.0)
-        streams = run_scenario(run)
-        a, b = streams.local_ab.tags_ps, streams.remote_ab.tags_ps
+        local, remote = simulate_direction(run, "ab")
+        a, b = local.tags_ps, remote.tags_ps
         cfg = DelayExtractionConfig(search_range_ps=1e6, expected_sigma_ps=220.0)
         delay, _ = extract_delay(a, b, cfg)
         _, window_eff, hist, _ = empirical_car(a, b, 1000.0, cfg)

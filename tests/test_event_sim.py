@@ -27,6 +27,8 @@ from hollowlink.event_sim import (
     read_timetags_binary,
     read_timetags_csv,
     run_scenario,
+    simulate_direction,
+    sorted_tags,
     stream_rng,
     transmit_and_detect,
     write_timetags_binary,
@@ -233,6 +235,19 @@ class TestApplyDeadTime:
         assert np.array_equal(out.tags_ps, [0, 200])
 
 
+class TestSortedTags:
+    def test_stream_passes_through(self):
+        stream = TimeTagStream(0, np.array([0, 100, 200], dtype=np.int64), 1000)
+        assert sorted_tags(stream) is stream.tags_ps
+
+    def test_unsorted_array_raises(self):
+        assert np.array_equal(sorted_tags([1, 1, 2]), [1, 1, 2])
+        with pytest.raises(UnsortedInput, match="x must be sorted"):
+            sorted_tags(np.array([2, 1], dtype=np.int64), "x")
+        with pytest.raises(UnsortedInput):
+            TimeTagStream(0, np.array([5, 3], dtype=np.int64), 10)
+
+
 class TestRunScenario:
     def test_zero_noise_exact_correspondence(self):
         run = SimRun(
@@ -289,7 +304,8 @@ class TestRunScenario:
 
     def test_lossless_local_arm_is_the_pair_stream(self):
         run = SimRun(lossless_scenario(5e4), duration_s=1.0, seed=43)
-        assert np.array_equal(run_scenario(run).local_ab.tags_ps, all_pairs(run, "ab"))
+        local, _ = simulate_direction(run, "ab")
+        assert np.array_equal(local.tags_ps, all_pairs(run, "ab"))
 
     def test_golden_streams_digest(self):
         # Any change to how the simulator samples must update this digest
@@ -309,6 +325,47 @@ class TestRunScenario:
             "21af64341d3a85b7207624fabbee090103e3860010938d218aa38343f7c09d6a"
         )
 
+    def test_golden_streams_digest_white_pm(self):
+        # the golden run with 3 ps of site-B white PM: pins the order of
+        # the clock_wpm_ch1 and clock_wpm_ch2 draws
+        run = SimRun(
+            desk_scenario(),
+            duration_s=0.2,
+            seed=2026,
+            clock_error=ClockError(offset_ps=1234.0, drift_ps_per_s=0.5, white_pm_sigma_ps=3.0),
+            link_delay_ab_ps=2e6,
+            link_delay_ba_ps=2e6,
+        )
+        h = hashlib.sha256()
+        for stream in run_scenario(run):
+            h.update(stream.tags_ps.astype("<i8").tobytes())
+        assert h.hexdigest() == (
+            "e83aeb7115a76aed7c116b657602b1ddb39b063afcc658da3e964963b78de03a"
+        )
+
+    @pytest.mark.parametrize("direction", ["ab", "ba"])
+    def test_simulate_direction_equals_run_scenario(self, direction):
+        run = SimRun(
+            desk_scenario(pair_rate_cps=4e5),
+            duration_s=0.5,
+            seed=61,
+            clock_error=ClockError(offset_ps=-321.0, drift_ps_per_s=4.0, white_pm_sigma_ps=2.5),
+            link_delay_ab_ps=3e6,
+            link_delay_ba_ps=1e6,
+        )
+        streams = run_scenario(run)
+        local, remote = simulate_direction(run, direction)
+        for got, channel in zip((local, remote), event_sim.CHANNELS[direction]):
+            want = streams[channel]
+            assert got.channel_id == want.channel_id == channel
+            assert got.duration_ps == want.duration_ps
+            assert np.array_equal(got.tags_ps, want.tags_ps)
+
+    def test_simulate_direction_rejects_unknown_direction(self):
+        run = SimRun(lossless_scenario(), duration_s=0.1, seed=1)
+        with pytest.raises(ValueError):
+            simulate_direction(run, "ac")
+
     def test_drift_recovered_in_tag_scaling(self):
         run = SimRun(
             lossless_scenario(5e4),
@@ -316,10 +373,10 @@ class TestRunScenario:
             seed=41,
             clock_error=ClockError(drift_ps_per_s=250.0),
         )
-        streams = run_scenario(run)
-        n = len(streams.remote_ab)
-        local = streams.local_ab.tags_ps[:n].astype(float)
-        resid = streams.remote_ab.tags_ps[:n] - local
+        local, remote = simulate_direction(run, "ab")
+        n = len(remote)
+        local = local.tags_ps[:n].astype(float)
+        resid = remote.tags_ps[:n] - local
         slope = np.polyfit(local / PS_PER_S, resid, 1)[0]
         assert slope == pytest.approx(250.0, rel=0.02)
 
