@@ -229,7 +229,9 @@ def cmd_twtt(args) -> int:
         clock_drift_ps_per_s=args.drift_ps_per_s,
         clock_white_pm_sigma_ps=args.wpm_sigma_ps,
     )
-    interval = args.interval or cfg.values.get("interval_s", 1.0)
+    interval = args.interval
+    if interval is None:
+        interval = cfg.values.get("interval_s", config.SIM_DEFAULTS["interval_s"])
     series = run_session(run, interval)
     text = twtt.offsets_csv(
         series,

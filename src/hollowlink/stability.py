@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from .errors import SeriesTooShort, TooFewPoints
 
@@ -75,8 +75,10 @@ def _default_ms(n: int, min_len_factor: int) -> list[int]:
 def _ci(dev: float, edf: float) -> tuple[float, float]:
     if dev == 0.0:
         return 0.0, 0.0
-    lo = dev * math.sqrt(edf / chi2.ppf(0.975, edf))
-    hi = dev * math.sqrt(edf / chi2.ppf(0.025, edf))
+    # chi-square quantiles as scipy.stats.chi2.ppf computes them, without
+    # importing scipy.stats (about 0.35 s of start-up)
+    lo = dev * math.sqrt(edf / (2.0 * gammaincinv(edf / 2.0, 0.975)))
+    hi = dev * math.sqrt(edf / (2.0 * gammaincinv(edf / 2.0, 0.025)))
     return lo, hi
 
 

@@ -46,10 +46,8 @@ class OffsetSeries:
             object.__setattr__(
                 self, name, np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             )
-        if self.epochs_s.size >= 2:
-            gaps = np.diff(self.epochs_s)
-            if np.any(gaps <= 0):
-                raise ValueError("epochs must be strictly increasing")
+        if np.any(np.diff(self.epochs_s) <= 0):
+            raise ValueError("epochs must be strictly increasing")
 
     def __len__(self):
         return int(self.epochs_s.size)
@@ -69,25 +67,20 @@ def scenario_hash(run: SimRun) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _slice(tags: np.ndarray, t0: int, t1: int) -> np.ndarray:
-    lo = np.searchsorted(tags, t0, side="left")
-    hi = np.searchsorted(tags, t1, side="left")
-    return tags[lo:hi]
-
-
 def run_session(run: SimRun, measurement_interval_s: float) -> OffsetSeries:
-    """Simulate ``run``, cut the streams into consecutive intervals
-    aligned to t=0 (partial trailing interval dropped), extract both
-    one-way delays per interval, and combine them into offset samples.
+    """Simulate ``run`` and turn it into one offset sample per interval,
+    intervals aligned to t=0 (partial trailing interval dropped).
 
-    The per-sample stderr is half the quadrature sum of the two
-    directional extraction errors.
+    Each direction gets one wide delay search over the whole session;
+    then both its streams are cut once at all interval edges, and each
+    interval is searched near the wide result, A->B before B->A. The
+    per-sample stderr is half the quadrature sum of the two directional
+    extraction errors.
     """
     if measurement_interval_s <= 0:
         raise ValueError("measurement_interval_s must be > 0")
-    s = run.scenario
     for direction in CHANNELS:
-        expected = true_coincidence_rate(direction_scenario(s, direction))
+        expected = true_coincidence_rate(direction_scenario(run.scenario, direction))
         expected *= measurement_interval_s
         if expected < 100.0:
             raise InsufficientCoincidences(
@@ -96,54 +89,43 @@ def run_session(run: SimRun, measurement_interval_s: float) -> OffsetSeries:
             )
 
     streams = run_scenario(run)
-    sigma = max(effective_peak_sigma(s), 1.0)
-    base = DelayExtractionConfig(expected_sigma_ps=sigma)
+    sigma = max(effective_peak_sigma(run.scenario), 1.0)
+    interval_ps = int(round(measurement_interval_s * PS_PER_S))
+    n_intervals = int(run.duration_ps // interval_ps)
+    edges = np.arange(n_intervals + 1) * interval_ps
 
-    # One wide search per direction; intervals then search near it.
-    pairs = {
-        direction: (streams[local].tags_ps, streams[remote].tags_ps)
-        for direction, (local, remote) in CHANNELS.items()
-    }
-    centers = {}
-    for direction, (ta, tb) in pairs.items():
-        delay0, _ = extract_delay(ta, tb, base)
-        centers[direction] = delay0
-    narrow = {
-        direction: DelayExtractionConfig(
-            search_center_ps=round(centers[direction]),
+    wide = DelayExtractionConfig(expected_sigma_ps=sigma)
+    cut = []  # per direction: (name, local pieces, remote pieces, narrow config)
+    for direction, channels in CHANNELS.items():
+        ta, tb = (streams[c].tags_ps for c in channels)
+        center, _ = extract_delay(ta, tb, wide)
+        narrow = DelayExtractionConfig(
+            search_center_ps=round(center),
             search_range_ps=max(1e6, 64.0 * sigma),
             coarse_bin_ps=max(int(4 * sigma) | 1, 101),
             expected_sigma_ps=sigma,
         )
-        for direction in pairs
-    }
+        # pieces 1..n of the split are the intervals
+        pieces = [np.split(t, np.searchsorted(t, edges))[1:-1] for t in (ta, tb)]
+        cut.append((direction, *pieces, narrow))
 
-    interval_ps = int(round(measurement_interval_s * PS_PER_S))
-    n_intervals = int(run.duration_ps // interval_ps)
-    epochs, offsets, stderrs = [], [], []
+    delays = np.empty((len(cut), n_intervals))
+    errors = np.empty((len(cut), n_intervals))
     for i in range(n_intervals):
-        t0, t1 = i * interval_ps, (i + 1) * interval_ps
-        deltas = {}
-        for direction, (ta, tb) in pairs.items():
+        for d, (direction, local, remote, narrow) in enumerate(cut):
             try:
-                deltas[direction] = extract_delay(
-                    _slice(ta, t0, t1), _slice(tb, t0, t1), narrow[direction]
-                )
+                delays[d, i], errors[d, i] = extract_delay(local[i], remote[i], narrow)
             except NoPeak as exc:
                 raise InsufficientCoincidences(
                     f"interval {i} direction {direction}: {exc}", interval_index=i
                 ) from exc
-        (d_ab, se_ab), (d_ba, se_ba) = deltas["ab"], deltas["ba"]
-        offset, _delay = two_way_combine(d_ab, d_ba)
-        epochs.append((i + 0.5) * measurement_interval_s)
-        offsets.append(offset)
-        stderrs.append(0.5 * math.hypot(se_ab, se_ba))
 
+    offsets, _delays = two_way_combine(*delays)
     return OffsetSeries(
         interval_s=measurement_interval_s,
-        epochs_s=np.array(epochs),
-        offsets_ps=np.array(offsets),
-        stderrs_ps=np.array(stderrs),
+        epochs_s=(np.arange(n_intervals) + 0.5) * measurement_interval_s,
+        offsets_ps=offsets,
+        stderrs_ps=[0.5 * math.hypot(ab, ba) for ab, ba in errors.T],
         ground_truth=run.clock_error,
     )
 
@@ -168,42 +150,31 @@ def offsets_csv(
         now = datetime.now(timezone.utc).isoformat(timespec="seconds")
         out.write(f"# generated: {now}\n")
     out.write("epoch_s,offset_ps,stderr_ps\n")
-    for epoch, offset, stderr in zip(
-        series.epochs_s, series.offsets_ps, series.stderrs_ps
-    ):
-        out.write("%.12g,%.12g,%.12g\n" % (epoch, offset, stderr))
+    rows = np.column_stack((series.epochs_s, series.offsets_ps, series.stderrs_ps))
+    np.savetxt(out, rows, fmt="%.12g", delimiter=",")
     return out.getvalue()
 
 
 def read_offsets_csv(path) -> OffsetSeries:
-    """Read an offset series CSV (as written by ``offsets_csv`` or any
-    file with the same three-column schema)."""
-    interval = None
-    epochs, offsets, stderrs = [], [], []
+    """Read an offset series CSV as written by ``offsets_csv``. Rows of
+    epoch and offset only read with zero stderrs. Without an
+    ``# interval_s:`` line the interval is the first epoch spacing, or 1 s."""
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if line.startswith("# interval_s:"):
-                    interval = float(line.split(":", 1)[1])
-                continue
-            if line.startswith("epoch_s"):
-                continue
-            parts = line.split(",")
-            epochs.append(float(parts[0]))
-            offsets.append(float(parts[1]))
-            stderrs.append(float(parts[2]) if len(parts) > 2 else 0.0)
-    epochs_arr = np.array(epochs)
+        lines = [line.strip() for line in fh]
+    interval = None
+    for line in lines:
+        if line.startswith("# interval_s:"):
+            interval = float(line.split(":", 1)[1])
+    rows = [line for line in lines if line and not line.startswith(("#", "epoch_s"))]
+    # a series of no samples is a valid file, which np.loadtxt would warn about
+    table = np.loadtxt(rows, delimiter=",", ndmin=2) if rows else np.empty((0, 3))
+    if table.shape[1] == 2:
+        table = np.column_stack((table, np.zeros(len(table))))
+    if table.shape[1] != 3:
+        raise ValueError(f"{path}: rows need 2 or 3 columns, not {table.shape[1]}")
+    epochs, offsets, stderrs = table.T
     if interval is None:
-        if epochs_arr.size >= 2:
-            interval = float(epochs_arr[1] - epochs_arr[0])
-        else:
-            interval = 1.0
+        interval = float(epochs[1] - epochs[0]) if epochs.size >= 2 else 1.0
     return OffsetSeries(
-        interval_s=interval,
-        epochs_s=epochs_arr,
-        offsets_ps=np.array(offsets),
-        stderrs_ps=np.array(stderrs),
+        interval_s=interval, epochs_s=epochs, offsets_ps=offsets, stderrs_ps=stderrs
     )

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hollowlink.coexistence import CoexistenceScenario, PairSource
+from hollowlink.event_sim import CHANNELS, SimStreams
 from hollowlink.link_model import ClassicalCarrier, DetectorModel, FiberLink
 
 PAPER_FIBER = dict(
@@ -61,3 +64,15 @@ def desk_scenario(
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(20260809)))
+
+
+def without_remote_tags(streams, direction, intervals, interval_ps):
+    """``streams`` with the remote tags of ``direction`` removed from the
+    given measurement intervals (aligned to t=0), so that those
+    intervals have no peak in that direction."""
+    channel = CHANNELS[direction][1]
+    stream = streams[channel]
+    kept = stream.tags_ps[~np.isin(stream.tags_ps // interval_ps, intervals)]
+    doctored = list(streams)
+    doctored[channel] = replace(stream, tags_ps=kept)
+    return SimStreams(*doctored)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hollowlink import config
+from hollowlink import config, twtt
 from hollowlink.cli import main
 from hollowlink.coexistence import car, with_length, with_power
 from hollowlink.errors import (
@@ -12,6 +12,9 @@ from hollowlink.errors import (
     UnitViolation,
     UnknownKey,
 )
+from hollowlink.event_sim import PS_PER_S
+
+from conftest import without_remote_tags
 
 
 def desk_values(**overrides):
@@ -289,6 +292,37 @@ class TestTwttCommand:
         assert code == 2
         assert "coincidence" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize("interval", ["0", "-1"])
+    def test_non_positive_interval_exit_2(self, desk_config, interval, capsys):
+        code = main(["twtt", "--config", str(desk_config), "--duration", "2",
+                     "--interval", interval])
+        assert code == 2
+        assert "measurement_interval_s must be > 0" in capsys.readouterr().err
+
+    def test_interval_defaults_to_one_second(self, tmp_path, capsys):
+        values = desk_values()
+        del values["interval_s"]
+        path = tmp_path / "no-interval.cfg"
+        config.save_config(values, path)
+        assert main(["twtt", "--config", str(path), "--no-timestamp"]) == 0
+        text = capsys.readouterr().out
+        assert "# interval_s: 1\n" in text
+        rows = text.split("epoch_s,offset_ps,stderr_ps\n")[1].splitlines()
+        assert [row.split(",")[0] for row in rows] == ["0.5", "1.5"]
+
+    def test_failing_interval_exit_2_names_it(self, desk_config, monkeypatch, capsys):
+        real_run_scenario = twtt.run_scenario
+        interval_ps = int(0.5 * PS_PER_S)
+        monkeypatch.setattr(
+            twtt, "run_scenario",
+            lambda run: without_remote_tags(real_run_scenario(run), "ab", [2], interval_ps),
+        )
+        code = main(["twtt", "--config", str(desk_config), "--duration", "2",
+                     "--interval", "0.5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure (interval 2): interval 2 direction ab:")
+
 
 class TestStabilityCommand:
     def test_synth_adev_fit_slope(self, tmp_path, capsys):
@@ -327,6 +361,16 @@ class TestStabilityCommand:
         csv_path = tmp_path / "tiny.csv"
         csv_path.write_text("epoch_s,offset_ps,stderr_ps\n0.5,1.0,0.1\n1.5,2.0,0.1\n")
         assert main(["stability", "--input", str(csv_path)]) == 2
+
+    def test_one_column_row_exits_2(self, tmp_path, capsys):
+        csv_path = tmp_path / "ragged.csv"
+        rows = ["epoch_s,offset_ps,stderr_ps"] + [
+            "%g,42.0,1.0" % (0.5 + i) for i in range(8)
+        ]
+        rows[4] = "3.5"
+        csv_path.write_text("\n".join(rows) + "\n")
+        assert main(["stability", "--input", str(csv_path)]) == 2
+        assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
 class TestExitCodes:

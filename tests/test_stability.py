@@ -1,8 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
+import hollowlink
+from hollowlink import stability
 from hollowlink.errors import SeriesTooShort, TooFewPoints
 from hollowlink.stability import (
     PhaseSeries,
@@ -209,3 +216,20 @@ class TestCsvAndConversion:
         assert ps.tau0_s == 2.0
         assert ps.x_s == pytest.approx(np.full(8, 50e-12))
         assert np.all(tdev(ps).devs == 0.0)
+
+
+class TestConfidenceInterval:
+    @pytest.mark.parametrize("edf", [1, 2, 3, 7.0, 10, 99, 1000, 4999, 123456.0])
+    def test_matches_chi2_ppf_exactly(self, edf):
+        lo, hi = stability._ci(2.5e-12, edf)
+        assert lo == 2.5e-12 * math.sqrt(edf / chi2.ppf(0.975, edf))
+        assert hi == 2.5e-12 * math.sqrt(edf / chi2.ppf(0.025, edf))
+
+    def test_cli_import_does_not_load_scipy_stats(self):
+        src = str(Path(hollowlink.__file__).resolve().parents[1])
+        code = "import sys, hollowlink.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src}, cwd=src,
+        )
+        assert out.stdout.strip() == "False"

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from hollowlink import twtt
 from hollowlink.errors import InsufficientCoincidences
-from hollowlink.event_sim import ClockError, SimRun
+from hollowlink.event_sim import PS_PER_S, ClockError, SimRun
 from hollowlink.twtt import (
     OffsetSeries,
     offsets_csv,
@@ -14,7 +15,7 @@ from hollowlink.twtt import (
     two_way_combine,
 )
 
-from conftest import desk_scenario
+from conftest import desk_scenario, without_remote_tags
 
 
 def session_run(seed=1, duration_s=8.0, clock=ClockError(), d_ab=2_000_000.0, d_ba=2_000_000.0):
@@ -105,6 +106,40 @@ class TestRunSession:
         series = run_session(session_run(seed=15, duration_s=2.0, clock=clock), 0.5)
         assert series.ground_truth == clock
 
+    def test_session_shorter_than_an_interval_is_empty(self):
+        series = run_session(session_run(seed=17, duration_s=0.3), 0.5)
+        assert len(series) == 0
+        assert series.offsets_ps.size == series.stderrs_ps.size == 0
+
+
+class TestIntervalFailure:
+    """An interval without a peak fails with its index. Intervals are
+    searched in time order, A->B before B->A within one interval."""
+
+    @pytest.mark.parametrize(
+        "gaps, interval, direction",
+        [
+            ({"ba": [2]}, 2, "ba"),
+            ({"ab": [3], "ba": [1]}, 1, "ba"),
+            ({"ab": [2], "ba": [1, 2]}, 1, "ba"),
+            ({"ab": [2], "ba": [2]}, 2, "ab"),
+        ],
+    )
+    def test_first_failing_interval_is_reported(self, monkeypatch, gaps, interval, direction):
+        real_run_scenario = twtt.run_scenario
+
+        def doctored(run):
+            streams = real_run_scenario(run)
+            for name, intervals in gaps.items():
+                streams = without_remote_tags(streams, name, intervals, int(0.5 * PS_PER_S))
+            return streams
+
+        monkeypatch.setattr(twtt, "run_scenario", doctored)
+        with pytest.raises(InsufficientCoincidences) as info:
+            run_session(session_run(seed=19, duration_s=2.0), 0.5)
+        assert info.value.interval_index == interval
+        assert f"interval {interval} direction {direction}:" in str(info.value)
+
 
 class TestOffsetSeriesCsv:
     def make_series(self):
@@ -134,6 +169,49 @@ class TestOffsetSeriesCsv:
     def test_timestamp_toggle(self):
         with_ts = offsets_csv(self.make_series(), timestamp=True)
         assert "# generated:" in with_ts
+
+    def test_seed_and_generated_comments_read_back_exactly(self, tmp_path):
+        series = self.make_series()
+        path = tmp_path / "offsets.csv"
+        path.write_text(offsets_csv(series, scenario_hash_hex="cafe01", seed=7))
+        assert "# seed: 7" in path.read_text()
+        back = read_offsets_csv(path)
+        assert back.interval_s == series.interval_s
+        for name in ("epochs_s", "offsets_ps", "stderrs_ps"):
+            assert np.array_equal(getattr(back, name), getattr(series, name))
+
+    def test_empty_series_round_trip(self, tmp_path):
+        empty = OffsetSeries(0.5, np.zeros(0), np.zeros(0), np.zeros(0))
+        path = tmp_path / "empty.csv"
+        path.write_text(offsets_csv(empty, seed=3, timestamp=False))
+        back = read_offsets_csv(path)
+        assert back.interval_s == 0.5
+        assert back.epochs_s.shape == back.offsets_ps.shape == back.stderrs_ps.shape == (0,)
+
+    def test_two_columns_read_with_zero_stderr(self, tmp_path):
+        path = tmp_path / "two.csv"
+        path.write_text("epoch_s,offset_ps\n0.5,1.25\n1.5,-2\n2.5,3\n")
+        back = read_offsets_csv(path)
+        assert back.interval_s == 1.0
+        assert np.array_equal(back.epochs_s, [0.5, 1.5, 2.5])
+        assert np.array_equal(back.offsets_ps, [1.25, -2.0, 3.0])
+        assert np.array_equal(back.stderrs_ps, np.zeros(3))
+
+    def test_interval_falls_back_to_epoch_spacing_then_one_second(self, tmp_path):
+        path = tmp_path / "bare.csv"
+        path.write_text("0.125,1,0.5\n0.375,2,0.5\n")
+        assert read_offsets_csv(path).interval_s == 0.25
+        path.write_text("0.125,1,0.5\n")
+        assert read_offsets_csv(path).interval_s == 1.0
+
+    @pytest.mark.parametrize(
+        "rows", ["0.5,1,0.1\n1.5\n2.5,3,0.1\n", "0.5\n1.5\n", "0.5,1,0.1,9\n1.5,2,0.1,9\n"]
+    )
+    def test_malformed_rows_raise_value_error(self, tmp_path, rows):
+        path = tmp_path / "bad.csv"
+        path.write_text("epoch_s,offset_ps,stderr_ps\n" + rows)
+        with pytest.raises(ValueError):
+            read_offsets_csv(path)
 
     def test_strictly_increasing_epochs_enforced(self):
         with pytest.raises(ValueError):
