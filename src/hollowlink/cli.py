@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import coexistence, coincidence, config, event_sim, stability, twtt
 from .coexistence import car, max_distance, scan_csv, with_power
-from .errors import ConfigError, DegenerateScenario, HollowlinkError, ZeroBackground
+from .errors import ConfigError, HollowlinkError
 from .event_sim import run_scenario, write_timetags_binary, write_timetags_csv
 from .twtt import run_session
 
@@ -193,20 +194,20 @@ def cmd_simulate(args) -> int:
             entry["analytic"] = "unbounded"
             entry["empirical"] = "unbounded"
         else:
-            try:
-                cc_cfg = coincidence.DelayExtractionConfig(
-                    expected_sigma_ps=max(coexistence.effective_peak_sigma(ds), 1.0)
-                )
-                value, window_eff, hist, _fit = coincidence.empirical_car(
-                    local, remote, scenario.window_ps, cc_cfg
-                )
+            cc_cfg = coincidence.DelayExtractionConfig(
+                expected_sigma_ps=max(coexistence.effective_peak_sigma(ds), 1.0)
+            )
+            value, window_eff, hist, _fit = coincidence.empirical_car(
+                local, remote, scenario.window_ps, cc_cfg
+            )
+            if direction == "ab" and args.histogram:
+                Path(args.histogram).write_text(coincidence.histogram_csv(hist))
+            if math.isinf(value):
+                entry["empirical"] = "unbounded"
+            else:
                 entry["empirical"] = round(value, 3)
                 entry["window_eff_ps"] = window_eff
                 entry["analytic"] = round(car(replace(ds, window_ps=window_eff)), 3)
-                if direction == "ab" and args.histogram:
-                    Path(args.histogram).write_text(coincidence.histogram_csv(hist))
-            except (DegenerateScenario, ZeroBackground):
-                entry["empirical"] = "unbounded"
         summary["car"][direction] = entry
     if not args.no_timestamp:
         summary["generated"] = datetime.now(timezone.utc).isoformat(
@@ -334,7 +335,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (HollowlinkError, ValueError) as exc:

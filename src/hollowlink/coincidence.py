@@ -14,10 +14,10 @@ Delay extraction is two-stage: a wide coarse histogram locates the
 peak, a fine histogram around it is fitted with a Gaussian-plus-flat
 model. Fine histograms use an odd number of odd-width bins so the
 integer-picosecond bin layout is exactly symmetric around the search
-center, and fits run in peak-relative coordinates. Even so, the fitted
-centroids of extract_delay(a, b) and -extract_delay(b, a) agree only to
-about 1e-4 ps (9.4e-5 ps at worst over 40 seeds of a 2 s jittered run);
-the antisymmetry test pins one seed at 1e-6 ps.
+center, and fits run in peak-relative coordinates. Each pair of streams
+is solved in one canonical orientation (b is the stream with fewer
+tags), and the other orientation returns the negated result, so
+extract_delay(a, b) == -extract_delay(b, a) exactly.
 """
 
 from __future__ import annotations
@@ -246,6 +246,16 @@ def _odd(n: int) -> int:
     return n if n % 2 == 1 else n + 1
 
 
+def _canonical(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether (a, b) is the orientation delays are computed in: b has
+    fewer tags, or, at equal counts, the smaller tag where they first
+    differ. Depends only on the unordered pair."""
+    if a.size != b.size:
+        return b.size < a.size
+    differ = np.flatnonzero(a != b)
+    return differ.size == 0 or bool(b[differ[0]] < a[differ[0]])
+
+
 def extract_delay(a, b, config: DelayExtractionConfig | None = None):
     """Locate the correlation peak of t_b - t_a and return
     (delay_ps, stderr_ps).
@@ -253,14 +263,25 @@ def extract_delay(a, b, config: DelayExtractionConfig | None = None):
     Coarse stage: wide bins over the full search range, on a bounded
     prefix of b for speed. Fine stage: narrow symmetric bins around the
     coarse estimate, Gaussian-fitted; a near-delta peak (jitter below one
-    bin) falls back to the exact count-weighted mean.
+    bin) falls back to the exact count-weighted mean. The search runs
+    with b the stream of fewer tags; called the other way round, it
+    solves the swapped streams around the mirrored center and negates
+    the delay, so the result is antisymmetric by construction.
     """
     cfg = config or DelayExtractionConfig()
     a_tags = sorted_tags(a, "a")
     b_tags = sorted_tags(b, "b")
     if a_tags.size == 0 or b_tags.size == 0:
         raise NoPeak("empty input stream")
+    if _canonical(a_tags, b_tags):
+        return _extract_delay(a_tags, b_tags, cfg)
+    mirrored = replace(cfg, search_center_ps=-cfg.search_center_ps)
+    delay, stderr = _extract_delay(b_tags, a_tags, mirrored)
+    return -delay, stderr
 
+
+def _extract_delay(a_tags, b_tags, cfg: DelayExtractionConfig):
+    """``extract_delay`` on sorted, non-empty int64 tags, as given."""
     # --- coarse stage ---
     w_c = _odd(cfg.coarse_bin_ps)
     n_c = _odd(math.ceil(cfg.search_range_ps / w_c))
@@ -306,7 +327,9 @@ def extract_delay(a, b, config: DelayExtractionConfig | None = None):
 
 def empirical_car(a, b, window_ps: float, config: DelayExtractionConfig | None = None):
     """Estimate CAR from two streams: locate the peak, histogram a wide
-    region around it, fit, and apply ``estimate_car``.
+    region around it, fit, and apply ``estimate_car``; a fitted
+    background of zero gives a CAR of ``math.inf`` (unbounded), still
+    with its histogram and fit.
 
     The counting window is snapped to 25 whole bins; the returned
     ``window_eff_ps`` is the width actually used and should also be used
@@ -320,7 +343,10 @@ def empirical_car(a, b, window_ps: float, config: DelayExtractionConfig | None =
     n_bins = 401  # ~16 window-widths of background around the peak
     hist = _histogram(a_tags, b_tags, bin_w, n_bins * bin_w, int(round(delay)))
     fit = fit_peak(hist)
-    value = estimate_car(hist, fit, float(window_eff))
+    try:
+        value = estimate_car(hist, fit, float(window_eff))
+    except ZeroBackground:
+        value = math.inf
     return value, float(window_eff), hist, fit
 
 

@@ -43,13 +43,15 @@ class PhaseSeries:
 
 @dataclass(frozen=True)
 class StabilityCurve:
-    """Deviation values and chi-square confidence bounds per averaging time."""
+    """Deviation values and chi-square confidence bounds per averaging
+    time, with the degrees of freedom the bounds use (None: unknown)."""
 
     taus_s: np.ndarray
     devs: np.ndarray
     ci_lo: np.ndarray
     ci_hi: np.ndarray
     n_used: np.ndarray
+    edf: np.ndarray | None = None
 
     def points(self):
         return list(zip(self.taus_s, self.devs, self.ci_lo, self.ci_hi, self.n_used))
@@ -89,7 +91,7 @@ def _deviations(series: PhaseSeries, ms, span: int, terms) -> StabilityCurve:
     x = series.x_s
     n = x.size
     ms = ms if ms is not None else _default_ms(n, span)
-    taus, devs, los, his, counts = [], [], [], [], []
+    taus, devs, los, his, counts, edfs = [], [], [], [], [], []
     for m in ms:
         m = int(m)
         if n < span * m + 1:
@@ -97,13 +99,14 @@ def _deviations(series: PhaseSeries, ms, span: int, terms) -> StabilityCurve:
         d, norm = terms(x, m)
         taus.append(m * series.tau0_s)
         devs.append(math.sqrt(float(np.sum(d**2)) / norm))
-        lo, hi = _ci(devs[-1], max(1.0, (n - 1) // (span * m)))
+        edfs.append(max(1.0, (n - 1) // (span * m)))
+        lo, hi = _ci(devs[-1], edfs[-1])
         los.append(lo)
         his.append(hi)
         counts.append(d.size)
     return StabilityCurve(
         np.array(taus), np.array(devs), np.array(los), np.array(his),
-        np.array(counts, dtype=np.int64),
+        np.array(counts, dtype=np.int64), np.array(edfs),
     )
 
 
@@ -124,7 +127,8 @@ def mdev(series: PhaseSeries, ms: list[int] | None = None) -> StabilityCurve:
     devs = base.devs * math.sqrt(3.0) / base.taus_s
     scale = devs / np.where(base.devs > 0, base.devs, 1.0)
     return StabilityCurve(
-        base.taus_s, devs, base.ci_lo * scale, base.ci_hi * scale, base.n_used
+        base.taus_s, devs, base.ci_lo * scale, base.ci_hi * scale, base.n_used,
+        base.edf,
     )
 
 
@@ -161,7 +165,10 @@ def synthesize_noise(
 def fit_slope(
     curve: StabilityCurve, tau_range: tuple[float, float] | None = None
 ) -> tuple[float, float]:
-    """Least-squares log-log slope of the stability curve and its stderr."""
+    """Weighted least-squares log-log slope of the stability curve and its
+    stderr. Each point is weighted by its EDF, since the variance of a
+    log deviation is about 1/(2 EDF); a curve without EDFs is fitted
+    unweighted. The stderr scales the weights by the fit's residuals."""
     taus = curve.taus_s
     devs = curve.devs
     mask = devs > 0
@@ -171,12 +178,14 @@ def fit_slope(
         raise TooFewPoints("need at least 3 positive points in range")
     lt = np.log10(taus[mask])
     ld = np.log10(devs[mask])
+    w = curve.edf[mask] if curve.edf is not None else np.ones(lt.size)
     k = lt.size
-    t_mean = lt.mean()
-    sxx = float(np.sum((lt - t_mean) ** 2))
-    slope = float(np.sum((lt - t_mean) * (ld - ld.mean())) / sxx)
-    resid = ld - (ld.mean() + slope * (lt - t_mean))
-    var = float(np.sum(resid**2)) / max(k - 2, 1)
+    t_mean = float(np.sum(w * lt) / np.sum(w))
+    d_mean = float(np.sum(w * ld) / np.sum(w))
+    sxx = float(np.sum(w * (lt - t_mean) ** 2))
+    slope = float(np.sum(w * (lt - t_mean) * (ld - d_mean)) / sxx)
+    resid = ld - (d_mean + slope * (lt - t_mean))
+    var = float(np.sum(w * resid**2)) / max(k - 2, 1)
     return slope, math.sqrt(var / sxx)
 
 

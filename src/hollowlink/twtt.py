@@ -67,15 +67,28 @@ def scenario_hash(run: SimRun) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _interval_delay(i, direction, local, remote, cfg):
+    """``extract_delay`` on interval i's pieces; no peak fails as interval i."""
+    try:
+        return extract_delay(local[i], remote[i], cfg)
+    except NoPeak as exc:
+        raise InsufficientCoincidences(
+            f"interval {i} direction {direction}: {exc}", interval_index=i
+        ) from exc
+
+
 def run_session(run: SimRun, measurement_interval_s: float) -> OffsetSeries:
     """Simulate ``run`` and turn it into one offset sample per interval,
     intervals aligned to t=0 (partial trailing interval dropped).
 
-    Each direction gets one wide delay search over the whole session;
-    then both its streams are cut once at all interval edges, and each
-    interval is searched near the wide result, A->B before B->A. The
-    per-sample stderr is half the quadrature sum of the two directional
-    extraction errors.
+    Both streams of each direction are cut once at all interval edges.
+    One wide delay search over interval 0's pieces finds each
+    direction's centre, so the set-up costs the same whatever the
+    session length; then each interval is searched near that centre,
+    A->B before B->A. A direction without a peak in interval 0 fails as
+    interval 0, and a session shorter than one interval gives the empty
+    series without simulating or searching. The per-sample stderr is
+    half the quadrature sum of the two directional extraction errors.
     """
     if measurement_interval_s <= 0:
         raise ValueError("measurement_interval_s must be > 0")
@@ -88,37 +101,35 @@ def run_session(run: SimRun, measurement_interval_s: float) -> OffsetSeries:
                 f"per {measurement_interval_s} s interval (need >= 100)"
             )
 
-    streams = run_scenario(run)
-    sigma = max(effective_peak_sigma(run.scenario), 1.0)
     interval_ps = int(round(measurement_interval_s * PS_PER_S))
     n_intervals = int(run.duration_ps // interval_ps)
+    if n_intervals == 0:
+        empty = np.zeros(0)
+        return OffsetSeries(measurement_interval_s, empty, empty, empty, run.clock_error)
     edges = np.arange(n_intervals + 1) * interval_ps
+    streams = run_scenario(run)
+    sigma = max(effective_peak_sigma(run.scenario), 1.0)
 
     wide = DelayExtractionConfig(expected_sigma_ps=sigma)
     cut = []  # per direction: (name, local pieces, remote pieces, narrow config)
     for direction, channels in CHANNELS.items():
-        ta, tb = (streams[c].tags_ps for c in channels)
-        center, _ = extract_delay(ta, tb, wide)
+        tags = [streams[c].tags_ps for c in channels]
+        # pieces 1..n of the split are the intervals
+        local, remote = (np.split(t, np.searchsorted(t, edges))[1:-1] for t in tags)
+        center, _ = _interval_delay(0, direction, local, remote, wide)
         narrow = DelayExtractionConfig(
             search_center_ps=round(center),
             search_range_ps=max(1e6, 64.0 * sigma),
             coarse_bin_ps=max(int(4 * sigma) | 1, 101),
             expected_sigma_ps=sigma,
         )
-        # pieces 1..n of the split are the intervals
-        pieces = [np.split(t, np.searchsorted(t, edges))[1:-1] for t in (ta, tb)]
-        cut.append((direction, *pieces, narrow))
+        cut.append((direction, local, remote, narrow))
 
     delays = np.empty((len(cut), n_intervals))
     errors = np.empty((len(cut), n_intervals))
     for i in range(n_intervals):
         for d, (direction, local, remote, narrow) in enumerate(cut):
-            try:
-                delays[d, i], errors[d, i] = extract_delay(local[i], remote[i], narrow)
-            except NoPeak as exc:
-                raise InsufficientCoincidences(
-                    f"interval {i} direction {direction}: {exc}", interval_index=i
-                ) from exc
+            delays[d, i], errors[d, i] = _interval_delay(i, direction, local, remote, narrow)
 
     offsets, _delays = two_way_combine(*delays)
     return OffsetSeries(

@@ -231,6 +231,50 @@ class TestExtractDelay:
         d_ba, _ = extract_delay(remote, local, cfg)
         assert abs(d_ab + d_ba) < 1e-6
 
+    def test_antisymmetric_by_construction(self):
+        cfg = DelayExtractionConfig(expected_sigma_ps=220.0)
+        for seed in range(60, 100):
+            run = SimRun(jitter_scenario(), duration_s=2.0, seed=seed,
+                         link_delay_ab_ps=987_654_321.0)
+            local, remote = simulate_direction(run, "ab")
+            d_ab, se_ab = extract_delay(local, remote, cfg)
+            d_ba, se_ba = extract_delay(remote, local, cfg)
+            assert d_ab + d_ba == 0.0 and se_ab == se_ba, seed
+
+    def test_antisymmetric_around_a_search_center(self):
+        run = SimRun(jitter_scenario(), duration_s=1.0, seed=3, link_delay_ab_ps=5e6)
+        local, remote = simulate_direction(run, "ab")
+        near = DelayExtractionConfig(5e6 + 300.0, 1e6, 801, 220.0)
+        mirrored = replace(near, search_center_ps=-near.search_center_ps)
+        d_ab, se_ab = extract_delay(local, remote, near)
+        d_ba, se_ba = extract_delay(remote, local, mirrored)
+        assert d_ab == pytest.approx(5e6, abs=50.0)
+        assert (d_ab, se_ab) == (-d_ba, se_ba)
+
+    def test_equal_tag_counts_antisymmetric(self, rng):
+        a = np.sort(rng.integers(0, 10**11, 20_000)).astype(np.int64)
+        b = np.sort(a + 70_000 + np.rint(rng.normal(0.0, 150.0, a.size)).astype(np.int64))
+        assert coincidence._canonical(a, b) != coincidence._canonical(b, a)
+        d_ab, se_ab = extract_delay(a, b, DelayExtractionConfig(expected_sigma_ps=210.0))
+        d_ba, se_ba = extract_delay(b, a, DelayExtractionConfig(expected_sigma_ps=210.0))
+        assert d_ab == pytest.approx(70_000, abs=10.0)
+        assert (d_ab, se_ab) == (-d_ba, se_ba)
+
+    def test_swapped_call_does_not_reenter_the_public_function(self, monkeypatch):
+        run = SimRun(jitter_scenario(), duration_s=0.5, seed=5, link_delay_ab_ps=5e6)
+        local, remote = simulate_direction(run, "ab")
+        calls = []
+        real = coincidence.extract_delay
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(coincidence, "extract_delay", counted)
+        big, small = (local, remote) if len(local) > len(remote) else (remote, local)
+        coincidence.extract_delay(small, big)
+        assert len(calls) == 1
+
     def test_uncorrelated_streams_raise_nopeak(self, rng):
         a = inject_poisson_noise(1e4, 5.0, rng)
         b = inject_poisson_noise(1e4, 5.0, rng)

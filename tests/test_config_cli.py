@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hollowlink import config, twtt
+from hollowlink import coincidence, config, twtt
 from hollowlink.cli import main
 from hollowlink.coexistence import car, with_length, with_power
 from hollowlink.errors import (
@@ -11,6 +11,7 @@ from hollowlink.errors import (
     ParseError,
     UnitViolation,
     UnknownKey,
+    ZeroBackground,
 )
 from hollowlink.event_sim import PS_PER_S
 
@@ -270,6 +271,30 @@ class TestSimulateCommand:
                      "--no-timestamp"]) == 0
         assert hist.read_text().splitlines()[0] == "bin_center_ps,counts"
 
+    def test_histogram_written_when_car_unbounded(self, tmp_path, monkeypatch):
+        # a pair peak but no noise; the fitted background is forced to zero
+        # so the run does not depend on how its realisation happens to fit
+        def zero_background(*args):
+            raise ZeroBackground("fitted background is zero; ratio unbounded")
+
+        monkeypatch.setattr(coincidence, "estimate_car", zero_background)
+        values = desk_values(
+            power_fwd_mw=0.0, power_bwd_mw=0.0,
+            det_local_dark_cps=0.0, det_remote_dark_cps=0.0,
+        )
+        path = tmp_path / "pairs.cfg"
+        config.save_config(values, path)
+        out, hist = tmp_path / "run", tmp_path / "hist.csv"
+        assert main(["simulate", "--config", str(path), "--seed", "1",
+                     "--outdir", str(out), "--histogram", str(hist),
+                     "--no-timestamp"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["car"]["ab"] == {"empirical": "unbounded"}
+        lines = hist.read_text().splitlines()
+        assert lines[0] == "bin_center_ps,counts"
+        counts = np.array([int(line.split(",")[1]) for line in lines[1:]])
+        assert counts.size == 401 and counts.max() >= 100
+
 
 class TestTwttCommand:
     def test_offsets_csv_and_determinism(self, desk_config, tmp_path):
@@ -323,6 +348,19 @@ class TestTwttCommand:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure (interval 2): interval 2 direction ab:")
 
+    def test_no_peak_in_interval_0_exit_2_names_it(self, desk_config, monkeypatch, capsys):
+        real_run_scenario = twtt.run_scenario
+        interval_ps = int(0.5 * PS_PER_S)
+        monkeypatch.setattr(
+            twtt, "run_scenario",
+            lambda run: without_remote_tags(real_run_scenario(run), "ba", [0], interval_ps),
+        )
+        code = main(["twtt", "--config", str(desk_config), "--duration", "2",
+                     "--interval", "0.5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure (interval 0): interval 0 direction ba:")
+
 
 class TestStabilityCommand:
     def test_synth_adev_fit_slope(self, tmp_path, capsys):
@@ -361,6 +399,19 @@ class TestStabilityCommand:
         csv_path = tmp_path / "tiny.csv"
         csv_path.write_text("epoch_s,offset_ps,stderr_ps\n0.5,1.0,0.1\n1.5,2.0,0.1\n")
         assert main(["stability", "--input", str(csv_path)]) == 2
+
+    @pytest.mark.parametrize("flag", ["--input", "--out"])
+    def test_directory_path_exits_1(self, tmp_path, capsys, flag):
+        csv_path = tmp_path / "flat.csv"
+        rows = ["epoch_s,offset_ps,stderr_ps"] + [
+            "%g,42.0,1.0" % (0.5 + i) for i in range(16)
+        ]
+        csv_path.write_text("\n".join(rows) + "\n")
+        paths = {"--input": str(csv_path), "--out": str(tmp_path / "out.csv")}
+        paths[flag] = str(tmp_path)
+        argv = ["stability"] + [item for pair in paths.items() for item in pair]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("configuration error: ")
 
     def test_one_column_row_exits_2(self, tmp_path, capsys):
         csv_path = tmp_path / "ragged.csv"

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +193,29 @@ class TestFitSlope:
         assert slope == pytest.approx(-0.5, abs=1e-12)
         with pytest.raises(TooFewPoints):
             fit_slope(curve, tau_range=(2.0, 4.0))
+
+    def test_edf_weights_steady_white_pm_slope(self):
+        weighted, unweighted = [], []
+        for seed in range(20):
+            curve = tdev(synthesize_noise("white-pm", 1e-12, 1.0, 2000, seed))
+            weighted.append(fit_slope(curve)[0])
+            unweighted.append(fit_slope(replace(curve, edf=None))[0])
+        assert np.mean(weighted) == pytest.approx(-0.5, abs=0.02)
+        assert np.std(weighted) < 0.5 * np.std(unweighted)
+
+    def test_stderr_from_weighted_residuals(self):
+        taus = np.array([1.0, 2.0, 4.0, 8.0])
+        devs = taus**-0.5 * np.array([1.0, 1.1, 1.0, 1.1])
+        z = np.zeros(4)
+        edf = np.array([9.0, 4.0, 1.0, 1.0])
+        curve = StabilityCurve(taus, devs, z, z, np.ones(4, dtype=np.int64), edf)
+        lt, ld, w = np.log10(taus), np.log10(devs), curve.edf
+        a = np.column_stack((np.ones(4), lt)) * np.sqrt(w)[:, None]
+        coef, res, *_ = np.linalg.lstsq(a, ld * np.sqrt(w), rcond=None)
+        cov = np.linalg.inv(a.T @ a) * res[0] / 2
+        slope, stderr = fit_slope(curve)
+        assert slope == pytest.approx(coef[1], rel=1e-12)
+        assert stderr == pytest.approx(math.sqrt(cov[1, 1]), rel=1e-12)
 
 
 class TestCsvAndConversion:

@@ -5,7 +5,7 @@ import pytest
 
 from hollowlink import twtt
 from hollowlink.errors import InsufficientCoincidences
-from hollowlink.event_sim import PS_PER_S, ClockError, SimRun
+from hollowlink.event_sim import CHANNELS, PS_PER_S, ClockError, SimRun
 from hollowlink.twtt import (
     OffsetSeries,
     offsets_csv,
@@ -112,6 +112,49 @@ class TestRunSession:
         assert series.offsets_ps.size == series.stderrs_ps.size == 0
 
 
+class TestBoundedSearch:
+    """Each direction's wide search reads interval 0 only, and the calls
+    go through ``twtt.extract_delay``: two wide, then two per interval."""
+
+    def spy(self, monkeypatch):
+        calls = []
+        real = twtt.extract_delay
+
+        def counted(a, b, cfg):
+            calls.append((a, b, cfg))
+            return real(a, b, cfg)
+
+        monkeypatch.setattr(twtt, "extract_delay", counted)
+        return calls
+
+    def test_short_session_makes_no_search(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        assert len(run_session(session_run(seed=17, duration_s=0.3), 0.5)) == 0
+        assert calls == []
+
+    def test_wide_calls_read_interval_0(self, monkeypatch):
+        streams = []
+        real_run_scenario = twtt.run_scenario
+
+        def kept(run):
+            streams.append(real_run_scenario(run))
+            return streams[0]
+
+        monkeypatch.setattr(twtt, "run_scenario", kept)
+        calls = self.spy(monkeypatch)
+        interval_ps = int(0.5 * PS_PER_S)
+        series = run_session(session_run(seed=21, duration_s=2.2), 0.5)
+        assert len(series) == 4
+        assert len(calls) == 2 + 2 * len(series)
+        wide = twtt.DelayExtractionConfig().search_range_ps
+        ranges = [cfg.search_range_ps for _, _, cfg in calls]
+        assert ranges[:2] == [wide, wide] and max(ranges[2:]) < wide
+        for (a, b, _), channels in zip(calls, CHANNELS.values()):
+            for tags, channel in zip((a, b), channels):
+                full = streams[0][channel].tags_ps
+                assert np.array_equal(tags, full[full < interval_ps])
+
+
 class TestIntervalFailure:
     """An interval without a peak fails with its index. Intervals are
     searched in time order, A->B before B->A within one interval."""
@@ -123,6 +166,8 @@ class TestIntervalFailure:
             ({"ab": [3], "ba": [1]}, 1, "ba"),
             ({"ab": [2], "ba": [1, 2]}, 1, "ba"),
             ({"ab": [2], "ba": [2]}, 2, "ab"),
+            ({"ab": [0]}, 0, "ab"),
+            ({"ab": [1], "ba": [0]}, 0, "ba"),
         ],
     )
     def test_first_failing_interval_is_reported(self, monkeypatch, gaps, interval, direction):
